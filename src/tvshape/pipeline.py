@@ -86,6 +86,7 @@ class PipelineConfig:
                 "e_bound": self.fit.e_bound,
                 "min_node_gap": self.fit.min_node_gap,
                 "jacobian": self.fit.jacobian,
+                "freeze_nodes": self.fit.freeze_nodes,
             },
         }
         return d

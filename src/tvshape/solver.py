@@ -6,6 +6,11 @@ per harmonic). Constraints are enforced by projection after every trial
 step: phase ratios stay inside a box around their integer, node times
 stay strictly ordered with a minimum gap, and edge node times never move
 (they are not part of the coefficient vector at all).
+
+Jacobian columns of node amplitudes, quadrature coefficients and phase
+ratios are analytic. Free node times are differenced centrally; a node
+moves the curve only on the four intervals around it, so each of its
+columns is evaluated on that support and is zero elsewhere.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import WaveShapeModel
-from .pchip import pchip_eval, pchip_eval_with_amp_jacobian
+from .pchip import pchip_eval, pchip_eval_with_amp_jacobian, pchip_knot_differences
 from .signals import RealSignal
 
 LAMBDA_CAP = 1e16
@@ -128,6 +133,8 @@ def residual_and_jacobian(gamma: np.ndarray, ctx: FitContext) -> tuple[np.ndarra
     Node amplitudes, quadrature coefficients and phase ratios get analytic
     columns; free node times are differenced centrally (the interpolant's
     dependence on knot locations is piecewise and not worth deriving).
+    Node i moves the curve only between nodes i-2 and i+2, so its column
+    is differenced on that support and is exactly zero elsewhere.
     """
     model = ctx.template.unflatten(gamma)
     n = ctx.target.size
@@ -144,18 +151,14 @@ def residual_and_jacobian(gamma: np.ndarray, ctx: FitContext) -> tuple[np.ndarra
 
         sl = ctx.template.free_time_slice(h)
         n_t = sl.stop - sl.start
-        for k in range(n_t):
-            i = sl.start + k
-            tp = h.nodes.times.copy()
-            tm = h.nodes.times.copy()
-            tp[i] += dt_h
-            tm[i] -= dt_h
-            dhaf = (pchip_eval(tp, h.nodes.amps, ctx.t) - pchip_eval(tm, h.nodes.amps, ctx.t)) / (2 * dt_h)
-            J[:, pos + k] = -dhaf * theta
+        rows, cols, dhaf = pchip_knot_differences(
+            h.nodes.times, h.nodes.amps, ctx.t, np.arange(sl.start, sl.stop), dt_h
+        )
+        J[rows, pos + cols] = dhaf * -theta[rows]
         pos += n_t
 
         n_a = len(h.nodes)
-        J[:, pos : pos + n_a] = -W * theta[:, None]
+        np.multiply(W, -theta[:, None], out=J[:, pos : pos + n_a])
         pos += n_a
 
         J[:, pos] = -haf * sin_a                                    # d/dc

@@ -19,6 +19,7 @@ import numpy as np
 from .signals import RealSignal
 
 WINDOW_TRUNCATION = 1e-8
+BLOCK_ELEMENTS = 4_000_000     # spectrogram entries handled per block of frames
 
 
 @dataclass
@@ -107,7 +108,7 @@ def stft(x: RealSignal, sigma: float, n_bins: int | None = None) -> Spectrogram:
     frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
     values = np.empty((N, nfft // 2 + 1), dtype=complex)
     # window-centered phase: place g's center at FFT index 0
-    chunk = max(1, int(4e6 // nfft))
+    chunk = max(1, BLOCK_ELEMENTS // nfft)
     buf = np.zeros((min(chunk, N), nfft))
     for start in range(0, N, chunk):
         stop = min(start + chunk, N)
@@ -155,19 +156,27 @@ def extract_ridge(
         raise ValueError(
             f"max jump {max_jump_hz} Hz is below one bin width {spec.bin_width:.4g} Hz"
         )
-    mag = spec.magnitude()
-    n_time, n_freq = mag.shape
+    values = spec.values
+    n_time, n_freq = values.shape
     lo, hi = 0, n_freq
     if band is not None:
         lo = int(np.searchsorted(spec.freq_axis, band[0], side="left"))
         hi = int(np.searchsorted(spec.freq_axis, band[1], side="right"))
         if hi <= lo:
             raise ValueError(f"empty ridge search band {band}")
-    sub = mag[:, lo:hi]
-    if not np.any(sub > 0):
+    # anchor: first maximum of |F| over the band in time-major order, found
+    # one block of frames at a time; strict > keeps the earliest block on ties
+    best, anchor_t, anchor_f = 0.0, 0, 0
+    width = hi - lo
+    chunk = max(1, BLOCK_ELEMENTS // width)
+    for start in range(0, n_time, chunk):
+        mag = np.abs(values[start : start + chunk, lo:hi])
+        k = int(np.argmax(mag))
+        if mag.flat[k] > best:
+            best = mag.flat[k]
+            anchor_t, anchor_f = start + k // width, lo + k % width
+    if not best > 0:
         raise ValueError("all-zero spectrogram in the requested band")
-    anchor_t, anchor_f = np.unravel_index(np.argmax(sub), sub.shape)
-    anchor_f += lo
 
     jump_bins = max(1, int(np.floor(max_jump_hz / spec.bin_width)))
     idx = np.empty(n_time, dtype=int)
@@ -175,11 +184,11 @@ def extract_ridge(
     for n in range(anchor_t + 1, n_time):
         a = max(lo, idx[n - 1] - jump_bins)
         b = min(hi, idx[n - 1] + jump_bins + 1)
-        idx[n] = a + int(np.argmax(mag[n, a:b]))
+        idx[n] = a + int(np.argmax(np.abs(values[n, a:b])))
     for n in range(anchor_t - 1, -1, -1):
         a = max(lo, idx[n + 1] - jump_bins)
         b = min(hi, idx[n + 1] + jump_bins + 1)
-        idx[n] = a + int(np.argmax(mag[n, a:b]))
+        idx[n] = a + int(np.argmax(np.abs(values[n, a:b])))
     return Ridge(freq=spec.freq_axis[idx])
 
 

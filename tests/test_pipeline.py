@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tvshape import (
+    FitOptions,
     PipelineConfig,
     SyntheticSpec,
     add_noise,
@@ -42,12 +43,14 @@ def test_presets_hold_published_values():
         preset("mri")
 
 
-def test_config_dict_roundtrip(cfg):
+def test_config_dict_roundtrip():
+    cfg = preset("synthetic", fit=FitOptions(freeze_nodes=True))
     d = cfg.to_dict()
     back = PipelineConfig.from_dict(json.loads(json.dumps(d)))
     assert back.sigma == cfg.sigma
     assert back.max_jump_hz == cfg.max_jump_hz
     assert back.fit.e_bound == cfg.fit.e_bound
+    assert back.fit.freeze_nodes is True
 
 
 def test_noiseless_reconstruction_snr(noiseless_result):

@@ -12,6 +12,7 @@ from tvshape import (
     fit,
     residual_and_jacobian,
 )
+from tvshape.pchip import pchip_eval, pchip_eval_with_amp_jacobian, pchip_slopes
 from tvshape.solver import FitContext, _fd_jacobian
 
 FS = 2000.0
@@ -69,22 +70,85 @@ def test_analytic_jacobian_matches_finite_differences(rng):
             assert err < 1e-5, f"column {i} ({ctx.layout[i]}): rel err {err}"
 
 
+def _reference_residual_and_jacobian(gamma, ctx):
+    """Residual and jacobian with full-length central differences per node time."""
+    model = ctx.template.unflatten(gamma)
+    J = np.zeros((ctx.target.size, gamma.size))
+    synth = np.cos(2 * np.pi * ctx.phi1)
+    pos = 0
+    dt_h = ctx.min_node_gap / 10.0
+    for h in model.harmonics:
+        arg = 2 * np.pi * h.e * ctx.phi1
+        cos_a, sin_a = np.cos(arg), np.sin(arg)
+        theta = cos_a + h.c * sin_a
+        haf, W = pchip_eval_with_amp_jacobian(h.nodes.times, h.nodes.amps, ctx.t)
+        synth = synth + haf * theta
+        sl = ctx.template.free_time_slice(h)
+        n_t = sl.stop - sl.start
+        for k in range(n_t):
+            i = sl.start + k
+            tp = h.nodes.times.copy()
+            tm = h.nodes.times.copy()
+            tp[i] += dt_h
+            tm[i] -= dt_h
+            dhaf = (pchip_eval(tp, h.nodes.amps, ctx.t) - pchip_eval(tm, h.nodes.amps, ctx.t)) / (2 * dt_h)
+            J[:, pos + k] = -dhaf * theta
+        pos += n_t
+        n_a = len(h.nodes)
+        J[:, pos : pos + n_a] = -W * theta[:, None]
+        pos += n_a
+        J[:, pos] = -haf * sin_a
+        J[:, pos + 1] = -haf * 2 * np.pi * ctx.phi1 * (-sin_a + h.c * cos_a)
+        pos += 2
+    return ctx.target - synth, J
+
+
+@pytest.mark.parametrize("extension_map", [(0, 0), (200, 200)])
+@pytest.mark.parametrize("n", [1200, 2001])      # 0.6 s and the full 1 s node span
+def test_jacobian_equals_full_length_differences_bitwise(rng, extension_map, n):
+    # the free nodes next to the fixed edge nodes move an edge slope too
+    for n_nodes in (5, 6, 9):
+        model = _random_model(rng, n=n, r=3, n_nodes=n_nodes)
+        model.extension_map = extension_map
+        ctx = _context(model, target=rng.standard_normal(n), n=n)
+        gamma = model.flatten()
+        r, J = residual_and_jacobian(gamma, ctx)
+        r_ref, J_ref = _reference_residual_and_jacobian(gamma, ctx)
+        assert np.array_equal(r, r_ref)
+        assert np.array_equal(J, J_ref)
+
+
 def test_node_time_perturbation_is_local(rng):
-    model = _random_model(rng, n_nodes=7)
-    ctx = _context(model)
-    gamma = model.flatten()
-    h = model.harmonics[0]
-    sl = model.free_time_slice(h)
-    i_node = sl.start + 2
-    base = ctx.synthesize(gamma)
-    pert = model.copy()
-    pert.harmonics[0].nodes.times[i_node] += 1e-3
-    after = ctx.synthesize(pert.flatten())
-    t = ctx.t
-    lo, hi = h.nodes.times[i_node - 1], h.nodes.times[i_node + 1]
-    outside = (t < lo - 1e-12) | (t > hi + 1e-12)
-    assert np.array_equal(base[outside], after[outside])
-    assert not np.allclose(base[~outside], after[~outside])
+    # moving node i changes the slopes of nodes i-1..i+1, so the curve moves
+    # from node i-2 to node i+2 and is bit-identical outside; an outer
+    # interval moves unless its inner-end slope sits on the flat branch
+    n = 2001                                    # samples cover the whole node span
+    moved_outer = {"left": 0, "right": 0}
+    for _ in range(10):
+        model = _random_model(rng, n=n, n_nodes=9)
+        ctx = _context(model, n=n)
+        base = ctx.synthesize(model.flatten())
+        h = model.harmonics[0]
+        times = h.nodes.times
+        slopes = pchip_slopes(times, h.nodes.amps)
+        t = ctx.t
+        sl = model.free_time_slice(h)
+        for i in range(sl.start, sl.stop):
+            pert = model.copy()
+            pert.harmonics[0].nodes.times[i] += 1e-3
+            after = ctx.synthesize(pert.flatten())
+            lo, hi = times[max(i - 2, 0)], times[min(i + 2, len(times) - 1)]
+            outside = (t < lo) | (t > hi)
+            assert np.array_equal(base[outside], after[outside])
+            if i - 2 >= 0 and slopes[i - 1] != 0.0:
+                left = (t > times[i - 2]) & (t < times[i - 1])
+                assert not np.array_equal(base[left], after[left])
+                moved_outer["left"] += 1
+            if i + 2 < len(times) and slopes[i + 1] != 0.0:
+                right = (t > times[i + 1]) & (t < times[i + 2])
+                assert not np.array_equal(base[right], after[right])
+                moved_outer["right"] += 1
+    assert min(moved_outer.values()) > 0
 
 
 def test_constant_haf_amp_columns_are_hat_weights(rng):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,14 @@ from tvshape import (
     vertical_reconstruct,
 )
 from tvshape.stft import (
+    Spectrogram,
     full_band_resynthesis,
     gaussian_window,
     noise_sigma_estimate,
     threshold_coefficients,
 )
+
+stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
 FS = 2000.0
 SIGMA = 1e-4
@@ -110,6 +115,48 @@ def test_ridge_band_and_errors():
         extract_ridge(spec, max_jump_hz=spec.bin_width / 4)
     ridge = extract_ridge(spec, max_jump_hz=2.0, band=(30.0, 50.0))
     assert 30.0 <= ridge.freq[0] <= 50.0
+
+
+def _reference_ridge(spec, max_jump_hz, band=None):
+    """Greedy ridge over a full magnitude copy of the spectrogram."""
+    mag = spec.magnitude()
+    lo, hi = 0, mag.shape[1]
+    if band is not None:
+        lo = int(np.searchsorted(spec.freq_axis, band[0], side="left"))
+        hi = int(np.searchsorted(spec.freq_axis, band[1], side="right"))
+    sub = mag[:, lo:hi]
+    anchor_t, anchor_f = np.unravel_index(np.argmax(sub), sub.shape)
+    anchor_f += lo
+    jump = max(1, int(np.floor(max_jump_hz / spec.bin_width)))
+    idx = np.empty(mag.shape[0], dtype=int)
+    idx[anchor_t] = anchor_f
+    for n in range(anchor_t + 1, mag.shape[0]):
+        a, b = max(lo, idx[n - 1] - jump), min(hi, idx[n - 1] + jump + 1)
+        idx[n] = a + int(np.argmax(mag[n, a:b]))
+    for n in range(anchor_t - 1, -1, -1):
+        a, b = max(lo, idx[n + 1] - jump), min(hi, idx[n + 1] + jump + 1)
+        idx[n] = a + int(np.argmax(mag[n, a:b]))
+    return spec.freq_axis[idx]
+
+
+@pytest.mark.parametrize("block", [1, 7, 5000, stft_module.BLOCK_ELEMENTS])
+def test_ridge_matches_full_magnitude_search(monkeypatch, block):
+    monkeypatch.setattr(stft_module, "BLOCK_ELEMENTS", block)
+    x, _ = generate(SyntheticSpec("tv_reconstruction"))
+    spec = stft(add_noise(x, 0.0, 1), SIGMA)
+    for band in (None, (30.0, 90.0)):
+        ridge = extract_ridge(spec, 2.0, band)
+        assert np.array_equal(ridge.freq, _reference_ridge(spec, 2.0, band))
+    # equal maxima in two frames, far apart in frequency: the earlier frame
+    # anchors the ridge, as a single argmax over the whole band would pick
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.0, 1.0, (6, 20)) + 0j
+    values[1, 3] = values[4, 15] = 5.0
+    tied = Spectrogram(values, np.arange(20.0), fs=38.0, t0=0.0, window_sigma=SIGMA,
+                       window_norm=1.0, window_peak=1.0, window_halfwidth=1, nfft=38)
+    ridge = extract_ridge(tied, 2.0)
+    assert ridge.freq[1] == 3.0
+    assert np.array_equal(ridge.freq, _reference_ridge(tied, 2.0))
 
 
 def test_vertical_reconstruct_amplitude_and_phase():
