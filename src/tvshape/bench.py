@@ -49,10 +49,38 @@ def _cell_seed(base: int, level_idx: int, realization: int) -> int:
     return int(np.random.SeedSequence([base, level_idx, realization]).generate_state(1)[0])
 
 
+def _sweep(spec: BenchSpec, cell_fn, *extra) -> list[tuple[float, list[dict]]]:
+    """Run cell_fn on (snr level, derived seed, *extra) for every level and
+    realization; returns (level, that level's cell outputs) pairs."""
+    cells = [
+        (level, _cell_seed(spec.seed, li, k), *extra)
+        for li, level in enumerate(spec.snr_levels)
+        for k in range(spec.n_realizations)
+    ]
+    raw = _run_cells(cell_fn, cells, spec.n_jobs)
+    n = spec.n_realizations
+    return [(level, raw[i * n : (i + 1) * n]) for i, level in enumerate(spec.snr_levels)]
+
+
+def _summary_rows(groups, keys, stats) -> list[dict]:
+    """Per level: failed cells, then each named statistic and the count of
+    the finite values of every key."""
+    table = []
+    for level, cells in groups:
+        row = {"snr_in": level, "failures": sum("error" in cell for cell in cells)}
+        for m in keys:
+            vals = [cell[m] for cell in cells if m in cell and np.isfinite(cell[m])]
+            for name, fn in stats:
+                row[f"{m}_{name}"] = float(fn(vals)) if vals else None
+            row[f"{m}_n"] = len(vals)
+        table.append(row)
+    return table
+
+
 # -- denoising ---------------------------------------------------------------
 
 def _denoise_cell(args):
-    kind, snr_db, seed, cfg = args
+    snr_db, seed, kind, cfg = args
     x, _ = generate(SyntheticSpec(kind))
     noisy = add_noise(x, snr_db, seed)
     out = {}
@@ -73,32 +101,9 @@ def _denoise_cell(args):
 def run_denoise_bench(spec: BenchSpec) -> dict:
     """SNR_out tables for our method, the fixed-shape baseline, and
     hard/soft STFT thresholding, per input SNR level."""
-    cells = []
-    for li, level in enumerate(spec.snr_levels):
-        for k in range(spec.n_realizations):
-            cells.append((spec.experiment, level, _cell_seed(spec.seed, li, k), spec.config))
-    raw = _run_cells(_denoise_cell, cells, spec.n_jobs)
-
+    groups = _sweep(spec, _denoise_cell, spec.experiment, spec.config)
     methods = ("ours", "lr", "stft_hard", "stft_soft")
-    table = []
-    idx = 0
-    for level in spec.snr_levels:
-        vals = {m: [] for m in methods}
-        failures = 0
-        for _ in range(spec.n_realizations):
-            cell = raw[idx]
-            idx += 1
-            if "error" in cell:
-                failures += 1
-            for m in methods:
-                if m in cell and np.isfinite(cell[m]):
-                    vals[m].append(cell[m])
-        row = {"snr_in": level, "failures": failures}
-        for m in methods:
-            row[f"{m}_mean"] = float(np.mean(vals[m])) if vals[m] else None
-            row[f"{m}_std"] = float(np.std(vals[m])) if vals[m] else None
-            row[f"{m}_n"] = len(vals[m])
-        table.append(row)
+    table = _summary_rows(groups, methods, (("mean", np.mean), ("std", np.std)))
     return {"experiment": spec.experiment, "rows": table, "methods": list(methods)}
 
 
@@ -134,31 +139,9 @@ def _decompose_cell(args):
 
 def run_decompose_bench(spec: BenchSpec, cfgs: list[PipelineConfig] | None = None) -> dict:
     cfgs = cfgs or [spec.config]
-    cells = []
-    for li, level in enumerate(spec.snr_levels):
-        for k in range(spec.n_realizations):
-            cells.append((level, _cell_seed(spec.seed, li, k), cfgs))
-    raw = _run_cells(_decompose_cell, cells, spec.n_jobs)
-
+    groups = _sweep(spec, _decompose_cell, cfgs)
     keys = ("comp1_ours", "comp1_lr", "comp2_ours", "comp2_lr", "sum")
-    table = []
-    idx = 0
-    for level in spec.snr_levels:
-        vals = {m: [] for m in keys}
-        failures = 0
-        for _ in range(spec.n_realizations):
-            cell = raw[idx]
-            idx += 1
-            if "error" in cell:
-                failures += 1
-            for m in keys:
-                if m in cell and np.isfinite(cell[m]):
-                    vals[m].append(cell[m])
-        row = {"snr_in": level, "failures": failures}
-        for m in keys:
-            row[f"{m}_mean"] = float(np.mean(vals[m])) if vals[m] else None
-            row[f"{m}_n"] = len(vals[m])
-        table.append(row)
+    table = _summary_rows(groups, keys, (("mean", np.mean),))
     return {"experiment": "multicomponent", "rows": table, "methods": list(keys)}
 
 
@@ -184,28 +167,13 @@ def _segment_cell(args):
 
 
 def run_segment_bench(spec: BenchSpec) -> dict:
-    cells = []
-    for li, level in enumerate(spec.snr_levels):
-        for k in range(spec.n_realizations):
-            cells.append((level, _cell_seed(spec.seed, li, k), spec.config))
-    raw = _run_cells(_segment_cell, cells, spec.n_jobs)
-
     table = []
-    idx = 0
-    for level in spec.snr_levels:
-        errs = []
-        failures = 0
-        for _ in range(spec.n_realizations):
-            cell = raw[idx]
-            idx += 1
-            if "error" in cell or cell.get("abs_error") is None:
-                failures += 1
-            else:
-                errs.append(cell["abs_error"])
+    for level, cells in _sweep(spec, _segment_cell, spec.config):
+        errs = [c["abs_error"] for c in cells if "error" not in c and c.get("abs_error") is not None]
         table.append(
             {
                 "snr_in": level,
-                "failures": failures,
+                "failures": len(cells) - len(errs),
                 "ae_median_ms": float(np.median(errs) * 1000) if errs else None,
                 "ae_q1_ms": float(np.percentile(errs, 25) * 1000) if errs else None,
                 "ae_q3_ms": float(np.percentile(errs, 75) * 1000) if errs else None,

@@ -17,7 +17,7 @@ import numpy as np
 from .bench import BenchSpec, run_bench, write_bench_outputs
 from .generators import KINDS, SyntheticSpec, generate
 from .metrics import add_noise
-from .model import WaveShapeModel
+from .model import WaveShapeModel, evaluate_model, remodulate
 from .pipeline import PRESETS, PipelineConfig, decompose, denoise, preset, segment
 from .signals import RealSignal, read_signal_csv, write_signal_csv
 
@@ -151,7 +151,14 @@ def cmd_synth(args) -> int:
 
 def cmd_check_model(args) -> int:
     model = WaveShapeModel.from_json(Path(args.model).read_text(encoding="utf-8"))
-    print(f"model ok: r={model.r}, nodes per harmonic:", [len(h.nodes) for h in model.harmonics])
+    fund = model.fundamental
+    if fund is None:
+        raise ValueError(f"{args.model} has no 'fundamental' field; the model cannot be resynthesized")
+    y = remodulate(evaluate_model(model, fund.phi1), fund)
+    if not np.all(np.isfinite(y.samples)):
+        raise ValueError(f"{args.model} resynthesizes to non-finite samples")
+    print(f"model ok: r={model.r}, nodes per harmonic:", [len(h.nodes) for h in model.harmonics],
+          f"resynthesized {len(y)} samples")
     return EXIT_OK
 
 
@@ -195,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--truth", default=None, help="also write ground-truth JSON here")
     sy.set_defaults(fn=cmd_synth)
 
-    ck = sub.add_parser("check-model", help="validate a model JSON file")
+    ck = sub.add_parser("check-model", help="validate a model JSON file by resynthesizing it")
     ck.add_argument("model")
     ck.set_defaults(fn=cmd_check_model)
     return p

@@ -65,18 +65,13 @@ def rss_order_criterion(n: int, rss: float, r: int, energy: float = 1.0) -> floa
     return n * np.log(rss / n) + 2 * r * np.log(n)
 
 
-def estimate_order(
-    x_demod: RealSignal,
-    phi1: np.ndarray,
-    r_max: int,
-    criterion=rss_order_criterion,
-) -> int:
+def estimate_order(x_demod: RealSignal, phi1: np.ndarray, r_max: int) -> int:
     """Harmonic count selected by penalized fixed-shape regression.
 
     For each candidate r the fixed-shape linear model (cos/sin columns at
-    integer multiples of phi1) is least-squares fitted and the criterion
-    scored on its residual sum of squares; the arg-min r is returned. The
-    criterion is pluggable.
+    integer multiples of phi1) is least-squares fitted and
+    rss_order_criterion scored on its residual sum of squares; the arg-min
+    r is returned.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -107,7 +102,7 @@ def estimate_order(
         cols = design[:, : 2 * r]
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
         rss = float(np.sum((y - cols @ coef) ** 2))
-        score = criterion(n, rss, r, energy)
+        score = rss_order_criterion(n, rss, r, energy)
         if score < best_score:
             best_r, best_score = r, score
     return best_r

@@ -8,6 +8,10 @@ A fitted model represents the demodulated signal as
 where each P_l is the shape-preserving cubic through that harmonic's
 nodes. Node times at the record edges are fixed; when the record was
 boundary-extended, the nodes at the original record edges are fixed too.
+
+`synthesize` is the one place this formula is written. It also returns the
+jacobian in the coefficient order of `WaveShapeModel.flatten`, which the
+fitter in `solver` uses; `evaluate_model` resynthesizes a fitted model.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pchip import pchip_eval
+from .pchip import pchip_eval, pchip_eval_with_amp_jacobian, pchip_knot_differences
 from .signals import RealSignal
 from .stft import FundamentalEstimate
 
@@ -89,6 +93,11 @@ class WaveShapeModel:
         """Indices of this harmonic's nodes whose times are free."""
         j = len(harmonic.nodes)
         if self.extension_map[0] > 0 or self.extension_map[1] > 0:
+            if j < 4:
+                raise ValueError(
+                    f"harmonic l={round(harmonic.e)} has {j} nodes; a boundary-extended model "
+                    "needs at least 4 (record and original-record edges are fixed)"
+                )
             return slice(2, j - 2)
         return slice(1, j - 1)
 
@@ -124,6 +133,7 @@ class WaveShapeModel:
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> str:
+        f = self.fundamental
         return json.dumps(
             {
                 "r": self.r,
@@ -131,6 +141,7 @@ class WaveShapeModel:
                     {
                         "e": h.e,
                         "c": h.c,
+                        "degenerate": h.degenerate,
                         "nodes": [
                             {"t": float(t), "a": float(a)}
                             for t, a in zip(h.nodes.times, h.nodes.amps)
@@ -139,11 +150,16 @@ class WaveShapeModel:
                     for h in self.harmonics
                 ],
                 "extension_map": list(self.extension_map),
+                "fundamental": None if f is None else {
+                    "B1": f.B1.tolist(), "phi1": f.phi1.tolist(), "fs": float(f.fs)
+                },
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "WaveShapeModel":
+        """Inverse of to_json; files without the fundamental or the degenerate
+        flags (written before they were saved) load with None and False."""
         raw = json.loads(text)
         harmonics = [
             HarmonicModel(
@@ -153,12 +169,19 @@ class WaveShapeModel:
                     np.array([n["t"] for n in h["nodes"]]),
                     np.array([n["a"] for n in h["nodes"]]),
                 ),
+                degenerate=bool(h.get("degenerate", False)),
             )
             for h in raw["harmonics"]
         ]
+        f = raw.get("fundamental")
+        if f is not None:
+            f = FundamentalEstimate(
+                np.array(f["B1"], dtype=float), np.array(f["phi1"], dtype=float), float(f["fs"])
+            )
         return cls(
             r=int(raw["r"]),
             harmonics=harmonics,
+            fundamental=f,
             extension_map=tuple(raw["extension_map"]),
         )
 
@@ -176,6 +199,50 @@ def remodulate(x_demod_hat: RealSignal, fund: FundamentalEstimate) -> RealSignal
     if len(x_demod_hat) != fund.B1.size:
         raise ValueError("signal and fundamental estimate lengths differ")
     return x_demod_hat.with_samples(x_demod_hat.samples * fund.B1)
+
+
+def synthesize(
+    model: WaveShapeModel,
+    phi1: np.ndarray,
+    t: np.ndarray,
+    knot_step: float | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Model values along the phase track phi1 at the sample times t.
+
+    With knot_step, also returns J = d values / d model.flatten(): node
+    amplitude, quadrature and phase-ratio columns are analytic, free node
+    times are central differences with step knot_step, evaluated on the
+    four intervals a node moves (see pchip_knot_differences). Otherwise J
+    is None.
+    """
+    out = np.cos(2 * np.pi * phi1)
+    # column-major, the layout numpy gives a column subset J[:, mask]: the
+    # fitter's normal equations (J^T r, J^T J) then round the same way whether
+    # it uses all of J in place or a subset of frozen-node columns
+    J = None if knot_step is None else np.zeros((phi1.size, model.flatten().size), order="F")
+    pos = 0
+    for h in model.harmonics:
+        arg = 2 * np.pi * h.e * phi1
+        cos_a, sin_a = np.cos(arg), np.sin(arg)
+        theta = cos_a + h.c * sin_a
+        if J is None:
+            haf = pchip_eval(h.nodes.times, h.nodes.amps, t)
+        else:
+            haf, W = pchip_eval_with_amp_jacobian(h.nodes.times, h.nodes.amps, t)
+            sl = model.free_time_slice(h)
+            rows, cols, dhaf = pchip_knot_differences(
+                h.nodes.times, h.nodes.amps, t, np.arange(sl.start, sl.stop), knot_step
+            )
+            J[rows, pos + cols] = dhaf * theta[rows]
+            pos += sl.stop - sl.start
+            n_a = len(h.nodes)
+            np.multiply(W, theta[:, None], out=J[:, pos : pos + n_a])
+            pos += n_a
+            J[:, pos] = haf * sin_a                                         # d/dc
+            J[:, pos + 1] = haf * 2 * np.pi * phi1 * (-sin_a + h.c * cos_a)  # d/de
+            pos += 2
+        out = out + haf * theta
+    return out, J
 
 
 def evaluate_model(
@@ -197,9 +264,4 @@ def evaluate_model(
     if t0 is None:
         t0 = model.harmonics[0].nodes.times[0] if model.harmonics else 0.0
     t = t0 + np.arange(phi1.size) / fs
-    out = np.cos(2 * np.pi * phi1)
-    for h in model.harmonics:
-        arg = 2 * np.pi * h.e * phi1
-        theta = np.cos(arg) + h.c * np.sin(arg)
-        out = out + pchip_eval(h.nodes.times, h.nodes.amps, t) * theta
-    return RealSignal(out, fs=fs, t0=float(t0))
+    return RealSignal(synthesize(model, phi1, t)[0], fs=fs, t0=float(t0))

@@ -7,13 +7,15 @@ one-sided three-point estimate with shape-preserving clipping. The curve
 is exact at the nodes, C1 everywhere, monotone wherever the node
 amplitudes are monotone, and keeps local extrema at the nodes.
 
-Besides evaluation, this module exposes the exact derivative of the curve
-with respect to the node amplitudes (the slope rules are differentiable
-inside each branch), which the model fitter uses for analytic jacobian
-columns, and central differences in the node times. Moving one node
-changes at most three slopes, so such a difference is nonzero only on the
-four intervals around the node: the differences for all nodes of a curve
-are evaluated there, in one batch over the perturbed node sets.
+Both evaluators share one path (node check, slopes, interval search,
+Hermite weights). Besides the values, it gives the exact derivative of the
+curve with respect to the node amplitudes (the slope rules are
+differentiable inside each branch). `pchip_knot_differences` gives central
+differences in the node times. Moving one node changes at most three
+slopes, so such a difference is nonzero only on the four intervals around
+the node: the differences for all nodes of a curve are evaluated there, in
+one batch over the perturbed node sets. `model.synthesize` builds the
+wave-shape model and its jacobian from these three.
 """
 
 from __future__ import annotations
@@ -139,13 +141,23 @@ def _hermite(t0, t1, y0, y1, d0, d1, query):
     return w[0] * y0 + w[1] * d0 + w[2] * y1 + w[3] * d1, w
 
 
-def pchip_eval(times: np.ndarray, amps: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Evaluate the shape-preserving cubic at the query times."""
+def _evaluate(times, amps, query, want_jac):
+    """Check the nodes, then evaluate the curve at the query times.
+
+    Returns (values, interval index, Hermite weights, d slopes / d amps),
+    the last None unless want_jac.
+    """
     times, amps = _check_nodes(times, amps)
     query = np.asarray(query, dtype=float)
-    d, _ = _slopes_and_jacobian(times, amps, want_jac=False)
+    d, dd_dy = _slopes_and_jacobian(times, amps, want_jac)
     j = _locate(times, query)
-    return _hermite(times[j], times[j + 1], amps[j], amps[j + 1], d[j], d[j + 1], query)[0]
+    vals, w = _hermite(times[j], times[j + 1], amps[j], amps[j + 1], d[j], d[j + 1], query)
+    return vals, j, w, dd_dy
+
+
+def pchip_eval(times: np.ndarray, amps: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Evaluate the shape-preserving cubic at the query times."""
+    return _evaluate(times, amps, query, want_jac=False)[0]
 
 
 def pchip_eval_with_amp_jacobian(times, amps, query):
@@ -155,22 +167,18 @@ def pchip_eval_with_amp_jacobian(times, amps, query):
     exact jacobian wherever the slope rules are differentiable (everywhere
     except the measure-zero branch switches of the monotonicity limiter).
     """
-    times, amps = _check_nodes(times, amps)
-    query = np.asarray(query, dtype=float)
-    d, dd_dy = _slopes_and_jacobian(times, amps)
-    j = _locate(times, query)
-    vals, w = _hermite(times[j], times[j + 1], amps[j], amps[j + 1], d[j], d[j + 1], query)
+    vals, j, w, dd_dy = _evaluate(times, amps, query, want_jac=True)
     # a slope reads the amplitudes of its node and its neighbours (an edge
     # slope those of the three outermost nodes), so the row of a sample on
     # interval j is nonzero only on the band of nodes j-1 .. j+2
-    n = times.size
+    n = dd_dy.shape[1]
     width = min(n, 4)
     jc = j[:, None]
     cols = np.clip(jc - 1, 0, n - width) + np.arange(width)
     band = w[1][:, None] * dd_dy[jc, cols] + w[3][:, None] * dd_dy[jc + 1, cols]
     band += np.where(cols == jc, w[0][:, None], np.where(cols == jc + 1, w[2][:, None], 0.0))
-    W = np.zeros((query.size, n))
-    W[np.arange(query.size)[:, None], cols] = band
+    W = np.zeros((j.size, n))
+    W[np.arange(j.size)[:, None], cols] = band
     return vals, W
 
 

@@ -85,7 +85,6 @@ class PipelineConfig:
                 "lambda0": self.fit.lambda0,
                 "e_bound": self.fit.e_bound,
                 "min_node_gap": self.fit.min_node_gap,
-                "jacobian": self.fit.jacobian,
                 "freeze_nodes": self.fit.freeze_nodes,
             },
         }
@@ -93,7 +92,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        fit_d = d.get("fit", {})
+        fit_d = dict(d.get("fit", {}))
+        # configs saved while the fit had a finite-difference test mode name the analytic jacobian
+        jacobian = fit_d.pop("jacobian", "analytic_mixed")
+        if jacobian != "analytic_mixed":
+            raise ValueError(f"fit.jacobian {jacobian!r} is not supported; only 'analytic_mixed' is")
         return cls(
             sigma=d.get("sigma", 1e-4),
             max_jump_hz=d.get("I_f", 2.0),
@@ -104,7 +107,7 @@ class PipelineConfig:
             ridge_band=tuple(d["ridge_band"]) if d.get("ridge_band") else None,
             min_nodes=d.get("min_nodes", 5),
             r_override=d.get("r_override"),
-            fit=FitOptions(**fit_d) if fit_d else FitOptions(),
+            fit=FitOptions(**fit_d),
         )
 
 
@@ -214,7 +217,9 @@ def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> De
             # reconstruct around the integer-multiple ridge, demodulated by
             # B1 so the envelope approximates the harmonic amplitude function
             harm_freq = np.minimum(ell * ridge.freq, spec.fs / 2 - delta)
-            y_ell = _harmonic_reconstruction(spec, harm_freq, delta) / fund.B1
+            y_ell = vertical_reconstruct(
+                spec, Ridge(freq=harm_freq), delta, renormalize_coverage=True
+            ) / fund.B1
             cap = max(2, int(np.ceil(n * ell * mean_if / (4.0 * x.fs))))
             est = estimate_node_count(y_ell[core], xe.fs, cfg.energy_fraction, cap)
             # floor: a DC-dominated envelope spectrum can starve the budget,
@@ -245,12 +250,6 @@ def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> De
         extension=ext,
         ridge=ridge,
         timings=timings,
-    )
-
-
-def _harmonic_reconstruction(spec, freq_track: np.ndarray, delta: float) -> np.ndarray:
-    return vertical_reconstruct(
-        spec, Ridge(freq=freq_track, band_halfwidth=delta), delta, renormalize_coverage=True
     )
 
 

@@ -7,10 +7,10 @@ step: phase ratios stay inside a box around their integer, node times
 stay strictly ordered with a minimum gap, and edge node times never move
 (they are not part of the coefficient vector at all).
 
-Jacobian columns of node amplitudes, quadrature coefficients and phase
-ratios are analytic. Free node times are differenced centrally; a node
-moves the curve only on the four intervals around it, so each of its
-columns is evaluated on that support and is zero elsewhere.
+The model and its jacobian come from `model.synthesize`, the one place
+the wave-shape formula is written: node amplitudes, quadrature
+coefficients and phase ratios get analytic columns, free node times
+central differences on the four intervals a node moves.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import WaveShapeModel
-from .pchip import pchip_eval, pchip_eval_with_amp_jacobian, pchip_knot_differences
+from .model import WaveShapeModel, synthesize
+# not called here: the benchmark's per-layer tracer (perfbench/tracer.py,
+# --trace 1) wraps these names of this module, so they must stay resolvable
+from .pchip import pchip_eval, pchip_eval_with_amp_jacobian  # noqa: F401
 from .signals import RealSignal
 
 LAMBDA_CAP = 1e16
@@ -35,7 +37,6 @@ class FitOptions:
     lambda0: float = 1e-3
     e_bound: float = 0.1            # box half-width on |e_l - round(e_l)|
     min_node_gap: float | None = None   # seconds; default 2 samples
-    jacobian: str = "analytic_mixed"    # or "finite_difference"
     freeze_nodes: bool = False      # leave node times and amplitudes fixed
 
     def __post_init__(self):
@@ -43,8 +44,6 @@ class FitOptions:
             raise ValueError("tolerances and damping must be positive")
         if not 0 < self.e_bound < 0.5:
             raise ValueError("e_bound must be in (0, 0.5)")
-        if self.jacobian not in ("analytic_mixed", "finite_difference"):
-            raise ValueError(f"unknown jacobian mode {self.jacobian!r}")
 
 
 @dataclass
@@ -94,11 +93,12 @@ class FitContext:
             layout += [(hi, "c"), (hi, "e")]
         self.layout = layout
 
-    def free_mask(self) -> np.ndarray:
-        mask = np.ones(len(self.layout), dtype=bool)
-        if self.freeze_nodes:
-            mask = np.array([kind in ("c", "e") for _, kind in self.layout])
-        return mask
+    def free_index(self) -> slice | np.ndarray:
+        """Index of the coefficients the fit moves: all of them, or only the
+        quadrature coefficients and phase ratios when nodes are frozen."""
+        if not self.freeze_nodes:
+            return slice(None)      # a view: no copy of J per iteration
+        return np.array([kind in ("c", "e") for _, kind in self.layout])
 
     def project(self, gamma: np.ndarray) -> np.ndarray:
         """Clamp a trial vector back into the feasible set."""
@@ -118,53 +118,17 @@ class FitContext:
         return model.flatten()
 
     def synthesize(self, gamma: np.ndarray) -> np.ndarray:
-        model = self.template.unflatten(gamma)
-        out = np.cos(2 * np.pi * self.phi1)
-        for h in model.harmonics:
-            arg = 2 * np.pi * h.e * self.phi1
-            theta = np.cos(arg) + h.c * np.sin(arg)
-            out = out + pchip_eval(h.nodes.times, h.nodes.amps, self.t) * theta
-        return out
+        return synthesize(self.template.unflatten(gamma), self.phi1, self.t)[0]
 
 
 def residual_and_jacobian(gamma: np.ndarray, ctx: FitContext) -> tuple[np.ndarray, np.ndarray]:
     """Residual r = target - model and d r / d gamma.
 
-    Node amplitudes, quadrature coefficients and phase ratios get analytic
-    columns; free node times are differenced centrally (the interpolant's
-    dependence on knot locations is piecewise and not worth deriving).
-    Node i moves the curve only between nodes i-2 and i+2, so its column
-    is differenced on that support and is exactly zero elsewhere.
+    The jacobian is the negated model jacobian of `model.synthesize`, with
+    free node times differenced centrally at a tenth of the node gap.
     """
-    model = ctx.template.unflatten(gamma)
-    n = ctx.target.size
-    J = np.zeros((n, gamma.size))
-    synth = np.cos(2 * np.pi * ctx.phi1)
-    pos = 0
-    dt_h = ctx.min_node_gap / 10.0
-    for h in model.harmonics:
-        arg = 2 * np.pi * h.e * ctx.phi1
-        cos_a, sin_a = np.cos(arg), np.sin(arg)
-        theta = cos_a + h.c * sin_a
-        haf, W = pchip_eval_with_amp_jacobian(h.nodes.times, h.nodes.amps, ctx.t)
-        synth = synth + haf * theta
-
-        sl = ctx.template.free_time_slice(h)
-        n_t = sl.stop - sl.start
-        rows, cols, dhaf = pchip_knot_differences(
-            h.nodes.times, h.nodes.amps, ctx.t, np.arange(sl.start, sl.stop), dt_h
-        )
-        J[rows, pos + cols] = dhaf * -theta[rows]
-        pos += n_t
-
-        n_a = len(h.nodes)
-        np.multiply(W, -theta[:, None], out=J[:, pos : pos + n_a])
-        pos += n_a
-
-        J[:, pos] = -haf * sin_a                                    # d/dc
-        J[:, pos + 1] = -haf * 2 * np.pi * ctx.phi1 * (-sin_a + h.c * cos_a)  # d/de
-        pos += 2
-    return ctx.target - synth, J
+    synth, J = synthesize(ctx.template.unflatten(gamma), ctx.phi1, ctx.t, ctx.min_node_gap / 10.0)
+    return ctx.target - synth, np.negative(J, out=J)
 
 
 def _fd_jacobian(gamma: np.ndarray, ctx: FitContext) -> np.ndarray:
@@ -214,8 +178,8 @@ def fit(
     rss = float(resid @ resid)
     trace = [rss]
 
-    free = ctx.free_mask()
-    if gamma.size == 0 or not np.any(free):
+    free = ctx.free_index()
+    if gamma.size == 0:
         diag = FitDiagnostics(0, trace, "gradient", rss)
         return ctx.template.unflatten(gamma), diag
 
@@ -223,10 +187,7 @@ def fit(
     converged_by = "max_iters"
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        if opts.jacobian == "finite_difference":
-            J = _fd_jacobian(gamma, ctx)
-        else:
-            resid, J = residual_and_jacobian(gamma, ctx)
+        resid, J = residual_and_jacobian(gamma, ctx)
         Jf = J[:, free]
         grad = Jf.T @ resid
         if np.max(np.abs(grad)) < opts.grad_tol:

@@ -4,8 +4,8 @@ The window is g(n) = exp(-sigma*n^2) with n in samples, truncated where it
 falls below 1e-8, and the transform uses a window-centered phase
 convention so the phase at a ridge tracks the component's own phase. The
 discrete vertical-reconstruction sum is normalized so that summing every
-bin inverts the transform exactly: x(n) = Re[(1/(nfft*g(0))) * sum_k w_k F(n,k)]
-with w = 2 on interior bins and 1 at DC/Nyquist.
+bin inverts the transform exactly: x(n) = Re[(1/nfft) * sum_k w_k F(n,k)]
+with w = 2 on interior bins and 1 at DC/Nyquist (the window peak g(0) is 1).
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ class Spectrogram:
     t0: float
     window_sigma: float           # per squared sample index
     window_norm: float            # ||g||_2
-    window_peak: float            # g(0) == 1
     window_halfwidth: int         # samples, truncation at 1e-8
     nfft: int
-    hop: int = 1
     window_coverage: np.ndarray | None = None  # in-record window mass per frame
 
     @property
@@ -57,7 +55,7 @@ class Spectrogram:
                 {
                     "fs": self.fs,
                     "t0": self.t0,
-                    "hop": self.hop,
+                    "hop": 1,
                     "nfft": self.nfft,
                     "window_sigma": self.window_sigma,
                     "freq_axis_hz": self.freq_axis.tolist(),
@@ -72,7 +70,6 @@ class Ridge:
     """Per-sample frequency track of one component."""
 
     freq: np.ndarray              # Hz, one entry per time index
-    band_halfwidth: float = 0.0   # Hz, reconstruction half-width
 
 
 def gaussian_window(sigma: float) -> tuple[np.ndarray, int]:
@@ -89,20 +86,18 @@ def default_band_halfwidth(sigma: float, fs: float) -> float:
     return float(np.sqrt(np.log(1e3) * sigma) / np.pi * fs)
 
 
-def stft(x: RealSignal, sigma: float, n_bins: int | None = None) -> Spectrogram:
+def stft(x: RealSignal, sigma: float) -> Spectrogram:
     """Per-sample-hop Gaussian-window STFT with one-sided frequency axis.
 
-    n_bins overrides the FFT length (default: next power of two covering
-    both the signal and the truncated window).
+    The FFT length is the next power of two covering both the signal and
+    the truncated window.
     """
     g, half = gaussian_window(sigma)
     if 2 * half + 1 < 8:
         raise ValueError(f"sigma={sigma} leaves a window under 8 samples")
     N = len(x)
     need = max(N, 2 * half + 1)
-    nfft = n_bins if n_bins is not None else 1 << int(np.ceil(np.log2(need)))
-    if nfft < 2 * half + 1:
-        raise ValueError("n_bins smaller than the window support would alias frames")
+    nfft = 1 << int(np.ceil(np.log2(need)))
 
     padded = np.concatenate([np.zeros(half), x.samples, np.zeros(half)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
@@ -132,7 +127,6 @@ def stft(x: RealSignal, sigma: float, n_bins: int | None = None) -> Spectrogram:
         t0=x.t0,
         window_sigma=sigma,
         window_norm=float(np.linalg.norm(g)),
-        window_peak=1.0,
         window_halfwidth=half,
         nfft=nfft,
         window_coverage=coverage,
@@ -231,7 +225,7 @@ def vertical_reconstruct(
         if hi[n] == n_freq:
             s -= spec.values[n, -1]
         out[n] = s
-    out /= spec.nfft * spec.window_peak
+    out /= spec.nfft
     if renormalize_coverage and spec.window_coverage is not None:
         out /= spec.window_coverage
     return out
@@ -242,7 +236,7 @@ def full_band_resynthesis(spec: Spectrogram) -> np.ndarray:
     w = np.full(spec.freq_axis.size, 2.0)
     w[0] = 1.0
     w[-1] = 1.0
-    return (spec.values @ w).real / (spec.nfft * spec.window_peak)
+    return (spec.values @ w).real / spec.nfft
 
 
 @dataclass
@@ -271,7 +265,6 @@ def estimate_fundamental(
     negative increments clipped to zero.
     """
     ridge = extract_ridge(spec, max_jump_hz, band)
-    ridge.band_halfwidth = delta
     y = vertical_reconstruct(spec, ridge, delta, renormalize_coverage=True)
     b1 = np.abs(y)
     scale = max(float(b1.max()), 0.0)

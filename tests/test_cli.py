@@ -143,6 +143,15 @@ def test_check_model_roundtrip(tmp_path, s1_csv):
     assert main(["check-model", str(out / "s1_noisy_model.json")]) == EXIT_OK
 
 
+def test_check_model_without_fundamental_usage_error(tmp_path, capsys):
+    raw = json.loads(WaveShapeModel(r=1, harmonics=[]).to_json())
+    del raw["fundamental"]
+    path = tmp_path / "old_model.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check-model", str(path)]) == EXIT_USAGE
+    assert "'fundamental'" in capsys.readouterr().err
+
+
 def test_default_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("TVSHAPE_OUT", str(tmp_path / "envout"))
     code = main(["synth", "tv_denoise_s1", "--out", str(tmp_path / "envout" / "x.csv")])

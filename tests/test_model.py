@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,11 @@ def test_coefficient_count():
     # extension adds two fixed-time nodes whose amplitudes are still free
     m_ext = _model(r=3, n_nodes=9, ext=(200, 200))
     assert m_ext.flatten().size == 2 * (2 * 7) + 2 * 2
+    # ... so an extended harmonic needs 4 nodes: 3 leave a negative count of free times
+    m_short = _model(r=3, n_nodes=6, ext=(100, 100))
+    m_short.harmonics[0].nodes = HafNodes(np.array([0.0, 0.5, 1.0]), np.full(3, 0.5))
+    with pytest.raises(ValueError, match=r"l=2 has 3 nodes.*at least 4"):
+        m_short.flatten()
 
 
 def test_r1_model_is_pure_cosine():
@@ -138,16 +145,38 @@ def test_remodulate_scales():
 
 def test_model_json_roundtrip(rng):
     m = _model(r=3, n_nodes=5, e=[2.004, 3.001], c=[0.12, -0.3])
+    m.fundamental = _fund(b1=rng.uniform(0.5, 2.0, 2000), phi1=np.cumsum(rng.uniform(0.01, 0.03, 2000)))
+    m.harmonics[1].degenerate = True
     text = m.to_json()
     back = WaveShapeModel.from_json(text)
     assert back.r == m.r
     assert back.extension_map == m.extension_map
     for h0, h1 in zip(m.harmonics, back.harmonics):
-        assert h1.e == h0.e and h1.c == h0.c
+        assert h1.e == h0.e and h1.c == h0.c and h1.degenerate == h0.degenerate
         assert np.allclose(h1.nodes.times, h0.nodes.times)
         assert np.allclose(h1.nodes.amps, h0.nodes.amps)
+    assert np.array_equal(back.fundamental.B1, m.fundamental.B1)
+    assert np.array_equal(back.fundamental.phi1, m.fundamental.phi1)
+    assert back.fundamental.fs == m.fundamental.fs
     # stable field order for diffing
     assert text == back.to_json()
+
+
+def test_model_json_without_fundamental_loads():
+    # the layout of files saved before the fundamental and the degenerate
+    # flags were part of it
+    text = json.dumps(
+        {
+            "r": 2,
+            "harmonics": [{"e": 2.0, "c": 0.1, "nodes": [{"t": 0.0, "a": 0.5}, {"t": 1.0, "a": 0.4}]}],
+            "extension_map": [0, 0],
+        }
+    )
+    back = WaveShapeModel.from_json(text)
+    assert back.fundamental is None
+    assert back.harmonics[0].degenerate is False
+    with pytest.raises(ValueError, match="no fundamental reference"):
+        evaluate_model(back, np.zeros(10))
 
 
 def test_evaluate_uses_haf_interpolation(rng):

@@ -7,9 +7,11 @@ from tvshape import (
     FitOptions,
     PipelineConfig,
     SyntheticSpec,
+    WaveShapeModel,
     add_noise,
     decompose,
     denoise,
+    evaluate_model,
     generate,
     preset,
     segment,
@@ -51,11 +53,33 @@ def test_config_dict_roundtrip():
     assert back.max_jump_hz == cfg.max_jump_hz
     assert back.fit.e_bound == cfg.fit.e_bound
     assert back.fit.freeze_nodes is True
+    assert "jacobian" not in d["fit"]
+
+
+def test_config_from_dict_reads_jacobian_field():
+    # configs saved while the fit had a finite-difference mode carry the
+    # analytic one; any other value is refused rather than ignored
+    d = preset("synthetic").to_dict()
+    d["fit"]["jacobian"] = "analytic_mixed"
+    assert PipelineConfig.from_dict(d).fit == preset("synthetic").fit
+    d["fit"]["jacobian"] = "finite_difference"
+    with pytest.raises(ValueError, match="finite_difference"):
+        PipelineConfig.from_dict(d)
 
 
 def test_noiseless_reconstruction_snr(noiseless_result):
     x, _, res = noiseless_result
     assert snr_out(x, res.reconstruction) >= 30.0
+
+
+def test_fitted_model_resynthesizes_after_json_roundtrip(noiseless_result):
+    model = noiseless_result[2].model
+    back = WaveShapeModel.from_json(model.to_json())
+    assert [h.degenerate for h in back.harmonics] == [h.degenerate for h in model.harmonics]
+    assert np.array_equal(
+        evaluate_model(back, back.fundamental.phi1).samples,
+        evaluate_model(model, model.fundamental.phi1).samples,
+    )
 
 
 def test_output_length_matches_input(noiseless_result):

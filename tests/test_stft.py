@@ -153,7 +153,7 @@ def test_ridge_matches_full_magnitude_search(monkeypatch, block):
     values = rng.uniform(0.0, 1.0, (6, 20)) + 0j
     values[1, 3] = values[4, 15] = 5.0
     tied = Spectrogram(values, np.arange(20.0), fs=38.0, t0=0.0, window_sigma=SIGMA,
-                       window_norm=1.0, window_peak=1.0, window_halfwidth=1, nfft=38)
+                       window_norm=1.0, window_halfwidth=1, nfft=38)
     ridge = extract_ridge(tied, 2.0)
     assert ridge.freq[1] == 3.0
     assert np.array_equal(ridge.freq, _reference_ridge(tied, 2.0))
