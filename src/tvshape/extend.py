@@ -17,6 +17,8 @@ import numpy as np
 from .metrics import acf
 from .signals import RealSignal
 
+MIN_LAG = 4     # shortest period in samples the autocorrelation peak search considers
+
 
 @dataclass
 class ExtensionResult:
@@ -29,25 +31,25 @@ class ExtensionResult:
         return len(self.extended) - self.n_pre - self.n_post
 
 
-def estimate_cycle_len(x: RealSignal, min_lag: int = 4) -> int:
+def estimate_cycle_len(x: RealSignal) -> int:
     """Dominant oscillation period in samples from the autocorrelation peak."""
-    return int(round(fractional_cycle_len(x, min_lag)))
+    return int(round(fractional_cycle_len(x)))
 
 
-def fractional_cycle_len(x: RealSignal, min_lag: int = 4) -> float:
+def fractional_cycle_len(x: RealSignal) -> float:
     """Autocorrelation-peak period with parabolic sub-sample refinement."""
     n = len(x)
     r = acf(x.samples, max_lag=n // 2)
-    if r.size <= min_lag + 1:
+    if r.size <= MIN_LAG + 1:
         raise ValueError("record too short to locate an oscillation period")
-    seg = r[min_lag:]
+    seg = r[MIN_LAG:]
     # first local maximum that is an actual peak, else the global one
     candidates = np.where((seg[1:-1] > seg[:-2]) & (seg[1:-1] >= seg[2:]))[0]
     if candidates.size:
         best = candidates[np.argmax(seg[candidates + 1])] + 1
     else:
         best = int(np.argmax(seg))
-    k = best + min_lag
+    k = best + MIN_LAG
     if 0 < k < r.size - 1:
         denom = r[k - 1] - 2 * r[k] + r[k + 1]
         if denom < 0:

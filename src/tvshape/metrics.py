@@ -13,8 +13,6 @@ from .signals import RealSignal
 
 @dataclass
 class MetricsReport:
-    snr_out_db: float
-    snr_is_infinite: bool
     residual_acf: np.ndarray        # lags 0..L, acf[0] == 1
     acf_conf_band: float            # 95% band half-width, 1/sqrt(N)
     spectral_entropy_bits: float
@@ -23,8 +21,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "snr_out_db": None if self.snr_is_infinite else self.snr_out_db,
-                "snr_is_infinite": self.snr_is_infinite,
                 "residual_acf": self.residual_acf.tolist(),
                 "acf_conf_band": self.acf_conf_band,
                 "spectral_entropy_bits": self.spectral_entropy_bits,
@@ -52,7 +48,7 @@ def snr_out(reference: RealSignal, estimate: RealSignal) -> float:
     """Output SNR in dB: 20*log10(||ref|| / ||est - ref||).
 
     Returns math.inf when the estimate equals the reference exactly; the
-    caller decides how to report that sentinel (MetricsReport keeps a flag).
+    caller decides how to report that sentinel.
     """
     if len(reference) != len(estimate) or reference.fs != estimate.fs:
         raise ValueError("reference and estimate must share length and fs")
@@ -121,27 +117,18 @@ def residual_metrics(
     residual: RealSignal,
     estimate: RealSignal,
     max_lag: int | None = None,
-    reference: RealSignal | None = None,
 ) -> MetricsReport:
     """Residual whiteness and correlation diagnostics.
 
     ACF with the +-1/sqrt(N) white-noise band, spectral entropy of the
-    residual, and the correlation between residual and estimate. When a
-    reference is given, its SNR against the estimate is included.
+    residual, and the correlation between residual and estimate.
     """
     if len(residual) != len(estimate):
         raise ValueError("residual and estimate must have equal lengths")
     n = len(residual)
     if max_lag is None:
         max_lag = min(n - 1, int(2 * residual.fs))
-    snr = math.nan
-    infinite = False
-    if reference is not None:
-        snr = snr_out(reference, estimate)
-        infinite = math.isinf(snr)
     return MetricsReport(
-        snr_out_db=snr,
-        snr_is_infinite=infinite,
         residual_acf=acf(residual.samples, max_lag),
         acf_conf_band=1.0 / math.sqrt(n),
         spectral_entropy_bits=spectral_entropy(residual.samples),

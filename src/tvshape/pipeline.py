@@ -31,7 +31,7 @@ from .metrics import MetricsReport, residual_metrics
 from .model import WaveShapeModel, demodulate, evaluate_model, remodulate
 from .pchip import pchip_eval
 from .signals import RealSignal
-from .solver import FitDiagnostics, FitOptions, fit
+from .solver import GRAD_TOL, LAMBDA0, STEP_TOL, FitDiagnostics, FitOptions, fit
 from .stft import (
     Ridge,
     default_band_halfwidth,
@@ -39,6 +39,26 @@ from .stft import (
     stft,
     vertical_reconstruct,
 )
+
+
+EXTENSION_FACTOR = 0.1   # forecast samples added per side, as a fraction of the record
+MIN_NODES = 5            # node-budget floor per harmonic
+
+# Config keys of fields that held one value for every caller and are now
+# constants. Configs written before still carry them, so a key is read
+# only at that value; any other value would ask for behaviour that no
+# longer exists.
+RETIRED_KEYS = {
+    "extension_factor": EXTENSION_FACTOR,
+    "energy_fraction": 0.9,
+    "ridge_band": None,
+    "min_nodes": MIN_NODES,
+    "r_override": None,
+    "fit.jacobian": "analytic_mixed",
+    "fit.lambda0": LAMBDA0,
+    "fit.grad_tol": GRAD_TOL,
+    "fit.step_tol": STEP_TOL,
+}
 
 
 @dataclass
@@ -50,65 +70,59 @@ class PipelineConfig:
     delta: float | None = None      # fundamental band half-width; None = window rule
     r_max: int = 8
     fit: FitOptions = field(default_factory=FitOptions)
-    extension_factor: float = 0.1
-    energy_fraction: float = 0.9
-    ridge_band: tuple[float, float] | None = None   # search band override
-    min_nodes: int = 5              # node-budget floor per harmonic
-    r_override: int | None = None   # skip order selection
 
     def __post_init__(self):
         if min(self.sigma, self.max_jump_hz) <= 0 or self.r_max < 1:
             raise ValueError("config values must be positive")
         if self.delta is not None and self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.extension_factor < 0 or not 0 < self.energy_fraction <= 1:
-            raise ValueError("bad extension factor or energy fraction")
 
     def resolved_delta(self, fs: float) -> float:
         return self.delta if self.delta is not None else default_band_halfwidth(self.sigma, fs)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "sigma": self.sigma,
             "I_f": self.max_jump_hz,
             "delta": self.delta,
             "r_max": self.r_max,
-            "extension_factor": self.extension_factor,
-            "energy_fraction": self.energy_fraction,
-            "ridge_band": list(self.ridge_band) if self.ridge_band else None,
-            "min_nodes": self.min_nodes,
-            "r_override": self.r_override,
             "fit": {
                 "max_iters": self.fit.max_iters,
-                "grad_tol": self.fit.grad_tol,
-                "step_tol": self.fit.step_tol,
-                "lambda0": self.fit.lambda0,
                 "e_bound": self.fit.e_bound,
                 "min_node_gap": self.fit.min_node_gap,
                 "freeze_nodes": self.fit.freeze_nodes,
             },
         }
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        fit_d = dict(d.get("fit", {}))
-        # configs saved while the fit had a finite-difference test mode name the analytic jacobian
-        jacobian = fit_d.pop("jacobian", "analytic_mixed")
-        if jacobian != "analytic_mixed":
-            raise ValueError(f"fit.jacobian {jacobian!r} is not supported; only 'analytic_mixed' is")
+        """Read the `to_dict` layout. An unknown key, or a retired key at
+        another value than the one it always had, raises ValueError naming it."""
+        keys = _dotted(d)
+        for key in sorted(keys.keys() & RETIRED_KEYS.keys()):
+            if keys[key] != RETIRED_KEYS[key]:
+                raise ValueError(f"config key {key!r} is retired; only {RETIRED_KEYS[key]!r} "
+                                 f"is accepted, got {keys[key]!r}")
+        unknown = sorted(keys.keys() - RETIRED_KEYS.keys() - _dotted(cls().to_dict()).keys())
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        fit_d = {k: v for k, v in d.get("fit", {}).items() if f"fit.{k}" not in RETIRED_KEYS}
         return cls(
             sigma=d.get("sigma", 1e-4),
             max_jump_hz=d.get("I_f", 2.0),
             delta=d.get("delta"),
             r_max=d.get("r_max", 8),
-            extension_factor=d.get("extension_factor", 0.1),
-            energy_fraction=d.get("energy_fraction", 0.9),
-            ridge_band=tuple(d["ridge_band"]) if d.get("ridge_band") else None,
-            min_nodes=d.get("min_nodes", 5),
-            r_override=d.get("r_override"),
             fit=FitOptions(**fit_d),
         )
+
+
+def _dotted(d: dict) -> dict:
+    """A config dict with the keys of its fit section written 'fit.<key>'."""
+    if not isinstance(d, dict) or not isinstance(d.get("fit", {}), dict):
+        raise ValueError("a config is an object whose 'fit' entry, if any, is an object")
+    out = {k: v for k, v in d.items() if k != "fit"}
+    out.update({f"fit.{k}": v for k, v in d.get("fit", {}).items()})
+    return out
 
 
 # Per-signal-class presets: (sigma, I_f, delta).
@@ -177,37 +191,27 @@ def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> De
     timings: dict[str, float] = {}
     delta = cfg.resolved_delta(x.fs)
 
-    if cfg.extension_factor > 0:
-        def local_cycles():
-            # the oscillation period can drift; fit each forecaster on the
-            # period measured near its own edge
-            c0 = estimate_cycle_len(x)
-            w = min(len(x), max(6 * c0, 64))
-            tail = RealSignal(x.samples[-w:], x.fs)
-            head = RealSignal(x.samples[:w], x.fs)
-            return fractional_cycle_len(tail), fractional_cycle_len(head)
+    def local_cycles():
+        # the oscillation period can drift; fit each forecaster on the
+        # period measured near its own edge
+        c0 = estimate_cycle_len(x)
+        w = min(len(x), max(6 * c0, 64))
+        tail = RealSignal(x.samples[-w:], x.fs)
+        head = RealSignal(x.samples[:w], x.fs)
+        return fractional_cycle_len(tail), fractional_cycle_len(head)
 
-        c_fwd, c_bwd = _staged(timings, "cycle", local_cycles)
-        ext = _staged(
-            timings, "extend", extend_boundaries, x, c_fwd, cfg.extension_factor, c_bwd
-        )
-    else:
-        ext = ExtensionResult(extended=x, n_pre=0, n_post=0)
+    c_fwd, c_bwd = _staged(timings, "cycle", local_cycles)
+    ext = _staged(timings, "extend", extend_boundaries, x, c_fwd, EXTENSION_FACTOR, c_bwd)
     xe = ext.extended
 
     spec = _staged(timings, "stft", stft, xe, cfg.sigma)
-    fund, ridge = _staged(
-        timings, "fundamental", estimate_fundamental, spec, cfg.max_jump_hz, delta, cfg.ridge_band
-    )
+    fund, ridge = _staged(timings, "fundamental", estimate_fundamental, spec, cfg.max_jump_hz, delta)
     x_dem = _staged(timings, "demodulate", demodulate, xe, fund)
     # estimation sub-stages look at the original support only: the
     # extension zones carry forecast/window artifacts by construction
     core = slice(ext.n_pre, ext.n_pre + len(x))
-    if cfg.r_override is not None:
-        r = cfg.r_override
-    else:
-        x_dem_core = RealSignal(x_dem.samples[core], fs=xe.fs, t0=x.t0)
-        r = _staged(timings, "order", estimate_order, x_dem_core, fund.phi1[core], cfg.r_max)
+    x_dem_core = RealSignal(x_dem.samples[core], fs=xe.fs, t0=x.t0)
+    r = _staged(timings, "order", estimate_order, x_dem_core, fund.phi1[core], cfg.r_max)
 
     def budget():
         mean_if = fund.mean_if()
@@ -217,14 +221,12 @@ def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> De
             # reconstruct around the integer-multiple ridge, demodulated by
             # B1 so the envelope approximates the harmonic amplitude function
             harm_freq = np.minimum(ell * ridge.freq, spec.fs / 2 - delta)
-            y_ell = vertical_reconstruct(
-                spec, Ridge(freq=harm_freq), delta, renormalize_coverage=True
-            ) / fund.B1
+            y_ell = vertical_reconstruct(spec, Ridge(freq=harm_freq), delta) / fund.B1
             cap = max(2, int(np.ceil(n * ell * mean_if / (4.0 * x.fs))))
-            est = estimate_node_count(y_ell[core], xe.fs, cfg.energy_fraction, cap)
+            est = estimate_node_count(y_ell[core], xe.fs, max_nodes=cap)
             # floor: a DC-dominated envelope spectrum can starve the budget,
             # leaving no interior freedom to follow amplitude steps
-            counts.append(max(est, min(cfg.min_nodes, cap)))
+            counts.append(max(est, min(MIN_NODES, cap)))
         return counts
 
     counts = _staged(timings, "nodes", budget) if r >= 2 else []
@@ -253,12 +255,7 @@ def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> De
     )
 
 
-def decompose(
-    x: RealSignal,
-    cfgs: list[PipelineConfig],
-    K: int,
-    with_metrics: bool = False,
-) -> list[DenoiseResult]:
+def decompose(x: RealSignal, cfgs: list[PipelineConfig], K: int) -> list[DenoiseResult]:
     """Deflationary multicomponent extraction.
 
     Stage k fits one component on the running residual and subtracts it;
@@ -276,7 +273,7 @@ def decompose(
     residual = x
     prev_tracks: list[tuple[np.ndarray, float]] = []
     for k in range(K):
-        res = denoise(residual, cfgs[k], with_metrics=with_metrics)
+        res = denoise(residual, cfgs[k], with_metrics=False)
         n_pre = res.extension.n_pre
         n = len(x)
         core_track = res.ridge.freq[n_pre : n_pre + n]

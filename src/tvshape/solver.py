@@ -26,22 +26,20 @@ from .model import WaveShapeModel, synthesize
 from .pchip import pchip_eval, pchip_eval_with_amp_jacobian  # noqa: F401
 from .signals import RealSignal
 
+LAMBDA0 = 1e-3          # initial damping
 LAMBDA_CAP = 1e16
+GRAD_TOL = 1e-8         # stop when the largest gradient entry is below this
+STEP_TOL = 1e-10        # stop when the step is this small relative to the coefficients
 
 
 @dataclass
 class FitOptions:
     max_iters: int = 200
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-10
-    lambda0: float = 1e-3
     e_bound: float = 0.1            # box half-width on |e_l - round(e_l)|
     min_node_gap: float | None = None   # seconds; default 2 samples
     freeze_nodes: bool = False      # leave node times and amplitudes fixed
 
     def __post_init__(self):
-        if min(self.grad_tol, self.step_tol, self.lambda0) <= 0:
-            raise ValueError("tolerances and damping must be positive")
         if not 0 < self.e_bound < 0.5:
             raise ValueError("e_bound must be in (0, 0.5)")
 
@@ -183,14 +181,14 @@ def fit(
         diag = FitDiagnostics(0, trace, "gradient", rss)
         return ctx.template.unflatten(gamma), diag
 
-    lam = opts.lambda0
+    lam = LAMBDA0
     converged_by = "max_iters"
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
         resid, J = residual_and_jacobian(gamma, ctx)
         Jf = J[:, free]
         grad = Jf.T @ resid
-        if np.max(np.abs(grad)) < opts.grad_tol:
+        if np.max(np.abs(grad)) < GRAD_TOL:
             converged_by = "gradient"
             break
         A = Jf.T @ Jf
@@ -203,7 +201,7 @@ def fit(
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
-                if np.linalg.norm(delta) < opts.step_tol * (np.linalg.norm(gamma[free]) + opts.step_tol):
+                if np.linalg.norm(delta) < STEP_TOL * (np.linalg.norm(gamma[free]) + STEP_TOL):
                     converged_by = "step"
                     break
                 trial = gamma.copy()

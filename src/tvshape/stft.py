@@ -10,7 +10,6 @@ with w = 2 on interior bins and 1 at DC/Nyquist (the window peak g(0) is 1).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -29,12 +28,10 @@ class Spectrogram:
     values: np.ndarray            # (N, n_bins) complex
     freq_axis: np.ndarray         # Hz, strictly increasing, max fs/2
     fs: float
-    t0: float
-    window_sigma: float           # per squared sample index
     window_norm: float            # ||g||_2
     window_halfwidth: int         # samples, truncation at 1e-8
     nfft: int
-    window_coverage: np.ndarray | None = None  # in-record window mass per frame
+    window_coverage: np.ndarray   # in-record window mass per frame
 
     @property
     def n_times(self) -> int:
@@ -43,26 +40,6 @@ class Spectrogram:
     @property
     def bin_width(self) -> float:
         return self.fs / self.nfft
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def export(self, matrix_path, meta_path) -> None:
-        """Binary magnitude dump plus JSON axis metadata for plotting."""
-        np.save(matrix_path, self.magnitude())
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "fs": self.fs,
-                    "t0": self.t0,
-                    "hop": 1,
-                    "nfft": self.nfft,
-                    "window_sigma": self.window_sigma,
-                    "freq_axis_hz": self.freq_axis.tolist(),
-                    "n_times": self.n_times,
-                },
-                fh,
-            )
 
 
 @dataclass
@@ -124,8 +101,6 @@ def stft(x: RealSignal, sigma: float) -> Spectrogram:
         values=values,
         freq_axis=freq_axis,
         fs=x.fs,
-        t0=x.t0,
-        window_sigma=sigma,
         window_norm=float(np.linalg.norm(g)),
         window_halfwidth=half,
         nfft=nfft,
@@ -133,16 +108,12 @@ def stft(x: RealSignal, sigma: float) -> Spectrogram:
     )
 
 
-def extract_ridge(
-    spec: Spectrogram,
-    max_jump_hz: float,
-    band: tuple[float, float] | None = None,
-) -> Ridge:
+def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
     """Greedy maximum-energy ridge.
 
-    Anchors at the global spectrogram maximum (inside band, if given) and
-    extends forward and backward, restricting each step's search to
-    +-max_jump_hz around the previous frequency.
+    Anchors at the global spectrogram maximum and extends forward and
+    backward, restricting each step's search to +-max_jump_hz around the
+    previous frequency.
     """
     if max_jump_hz <= 0:
         raise ValueError("max frequency jump must be positive")
@@ -152,55 +123,42 @@ def extract_ridge(
         )
     values = spec.values
     n_time, n_freq = values.shape
-    lo, hi = 0, n_freq
-    if band is not None:
-        lo = int(np.searchsorted(spec.freq_axis, band[0], side="left"))
-        hi = int(np.searchsorted(spec.freq_axis, band[1], side="right"))
-        if hi <= lo:
-            raise ValueError(f"empty ridge search band {band}")
-    # anchor: first maximum of |F| over the band in time-major order, found
-    # one block of frames at a time; strict > keeps the earliest block on ties
+    # anchor: first maximum of |F| in time-major order, found one block of
+    # frames at a time; strict > keeps the earliest block on ties
     best, anchor_t, anchor_f = 0.0, 0, 0
-    width = hi - lo
-    chunk = max(1, BLOCK_ELEMENTS // width)
+    chunk = max(1, BLOCK_ELEMENTS // n_freq)
     for start in range(0, n_time, chunk):
-        mag = np.abs(values[start : start + chunk, lo:hi])
+        mag = np.abs(values[start : start + chunk])
         k = int(np.argmax(mag))
         if mag.flat[k] > best:
             best = mag.flat[k]
-            anchor_t, anchor_f = start + k // width, lo + k % width
+            anchor_t, anchor_f = start + k // n_freq, k % n_freq
     if not best > 0:
-        raise ValueError("all-zero spectrogram in the requested band")
+        raise ValueError("all-zero spectrogram")
 
     jump_bins = max(1, int(np.floor(max_jump_hz / spec.bin_width)))
     idx = np.empty(n_time, dtype=int)
     idx[anchor_t] = anchor_f
     for n in range(anchor_t + 1, n_time):
-        a = max(lo, idx[n - 1] - jump_bins)
-        b = min(hi, idx[n - 1] + jump_bins + 1)
+        a = max(0, idx[n - 1] - jump_bins)
+        b = min(n_freq, idx[n - 1] + jump_bins + 1)
         idx[n] = a + int(np.argmax(np.abs(values[n, a:b])))
     for n in range(anchor_t - 1, -1, -1):
-        a = max(lo, idx[n + 1] - jump_bins)
-        b = min(hi, idx[n + 1] + jump_bins + 1)
+        a = max(0, idx[n + 1] - jump_bins)
+        b = min(n_freq, idx[n + 1] + jump_bins + 1)
         idx[n] = a + int(np.argmax(np.abs(values[n, a:b])))
     return Ridge(freq=spec.freq_axis[idx])
 
 
-def vertical_reconstruct(
-    spec: Spectrogram,
-    ridge: Ridge,
-    delta: float,
-    renormalize_coverage: bool = False,
-) -> np.ndarray:
+def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.ndarray:
     """Complex component recovered by summing bins within delta of the ridge.
 
-    Normalized so that a full-band sum inverts the transform; with a band
-    restricted around one component, the result approximates its analytic
-    signal (magnitude = instantaneous amplitude, phase = 2*pi*phase).
-    renormalize_coverage divides out the per-frame in-record window mass,
-    undoing the amplitude shrinkage of frames whose window overhangs the
-    record edges (wanted for component amplitude estimates, not for exact
-    full-band inversion).
+    Normalized so that a full-band sum inverts the transform on frames whose
+    window lies inside the record; with a band restricted around one
+    component, the result approximates its analytic signal (magnitude =
+    instantaneous amplitude, phase = 2*pi*phase). The per-frame in-record
+    window mass is divided out, undoing the amplitude shrinkage of frames
+    whose window overhangs the record edges.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -226,8 +184,7 @@ def vertical_reconstruct(
             s -= spec.values[n, -1]
         out[n] = s
     out /= spec.nfft
-    if renormalize_coverage and spec.window_coverage is not None:
-        out /= spec.window_coverage
+    out /= spec.window_coverage
     return out
 
 
@@ -253,10 +210,7 @@ class FundamentalEstimate:
 
 
 def estimate_fundamental(
-    spec: Spectrogram,
-    max_jump_hz: float,
-    delta: float,
-    band: tuple[float, float] | None = None,
+    spec: Spectrogram, max_jump_hz: float, delta: float
 ) -> tuple[FundamentalEstimate, Ridge]:
     """Amplitude/phase of the most energetic ridge.
 
@@ -264,8 +218,8 @@ def estimate_fundamental(
     divides by it); phi1 is the unwrapped ridge phase in cycles with any
     negative increments clipped to zero.
     """
-    ridge = extract_ridge(spec, max_jump_hz, band)
-    y = vertical_reconstruct(spec, ridge, delta, renormalize_coverage=True)
+    ridge = extract_ridge(spec, max_jump_hz)
+    y = vertical_reconstruct(spec, ridge, delta)
     b1 = np.abs(y)
     scale = max(float(b1.max()), 0.0)
     guard = max(1e-3 * scale, np.finfo(float).eps)

@@ -26,8 +26,13 @@ def test_denoise_command(tmp_path, s1_csv):
     assert len(recon) == len(original)  # trim contract
     model = WaveShapeModel.from_json((out / "s1_noisy_model.json").read_text())
     assert model.r >= 2
-    report = json.loads((out / "s1_noisy_report.json").read_text())
+    report = json.loads((out / "s1_noisy_report.json").read_text(), parse_constant=_reject_constant)
     assert report["input"]["n"] == len(original)
+
+
+def _reject_constant(name):
+    # NaN and Infinity are not JSON; strict parsers (jq, JavaScript) refuse them
+    raise ValueError(f"report holds the non-JSON constant {name}")
 
 
 def test_denoise_missing_fs_usage_error(tmp_path):
@@ -118,6 +123,16 @@ def test_synth_and_config_file(tmp_path):
     cfg_path.write_text(json.dumps({"sigma": 1e-4, "I_f": 2.0, "r_max": 4}))
     out = tmp_path / "cfgout"
     assert main(["denoise", str(out_csv), "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "cfg", [{"sigmaa": 5e-5}, {"fit": {"max_iter": 3}}, {"min_nodes": 7}, [1, 2], {"fit": None}]
+)
+def test_bad_config_file_usage_error(tmp_path, s1_csv, capsys, cfg):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["denoise", str(s1_csv), "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error: " in capsys.readouterr().err
 
 
 def test_bench_command(tmp_path):

@@ -17,6 +17,7 @@ from tvshape import (
     segment,
     snr_out,
 )
+from tvshape.pipeline import RETIRED_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +50,27 @@ def test_config_dict_roundtrip():
     cfg = preset("synthetic", fit=FitOptions(freeze_nodes=True))
     d = cfg.to_dict()
     back = PipelineConfig.from_dict(json.loads(json.dumps(d)))
-    assert back.sigma == cfg.sigma
-    assert back.max_jump_hz == cfg.max_jump_hz
-    assert back.fit.e_bound == cfg.fit.e_bound
+    assert back == cfg
     assert back.fit.freeze_nodes is True
-    assert "jacobian" not in d["fit"]
+    assert set(d) == {"sigma", "I_f", "delta", "r_max", "fit"}
+    assert set(d["fit"]) == {"max_iters", "e_bound", "min_node_gap", "freeze_nodes"}
+
+
+# PipelineConfig.to_dict() of a preset as written while the config still had
+# its one-value fields; only sigma, I_f and delta differ between presets
+OLD_CONFIG_FILE = (
+    '{"sigma": %s, "I_f": %s, "delta": %s, "r_max": 8, "extension_factor": 0.1, '
+    '"energy_fraction": 0.9, "ridge_band": null, "min_nodes": 5, "r_override": null, '
+    '"fit": {"max_iters": 200, "grad_tol": 1e-08, "step_tol": 1e-10, "lambda0": 0.001, '
+    '"e_bound": 0.1, "min_node_gap": null, "freeze_nodes": false}}'
+)
+
+
+@pytest.mark.parametrize("name", ["synthetic", "eeg", "ip", "ecg"])
+def test_config_file_written_before_retirement_loads_unchanged(name):
+    cfg = preset(name)
+    text = OLD_CONFIG_FILE % tuple(json.dumps(v) for v in (cfg.sigma, cfg.max_jump_hz, cfg.delta))
+    assert PipelineConfig.from_dict(json.loads(text)) == cfg
 
 
 def test_config_from_dict_reads_jacobian_field():
@@ -65,6 +82,39 @@ def test_config_from_dict_reads_jacobian_field():
     d["fit"]["jacobian"] = "finite_difference"
     with pytest.raises(ValueError, match="finite_difference"):
         PipelineConfig.from_dict(d)
+
+
+# a value other than the one each retired key always had (fit.jacobian has
+# its own test above)
+RETIRED_OTHER_VALUES = {
+    "extension_factor": 0.0,
+    "energy_fraction": 0.95,
+    "ridge_band": [30.0, 50.0],
+    "min_nodes": 7,
+    "r_override": 2,
+    "fit.lambda0": 1e-2,
+    "fit.grad_tol": 1e-6,
+    "fit.step_tol": 1e-8,
+}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_OTHER_VALUES))
+def test_config_retired_key_read_only_at_its_value(key):
+    assert set(RETIRED_OTHER_VALUES) | {"fit.jacobian"} == set(RETIRED_KEYS)
+    d = preset("ecg").to_dict()
+    section, name = (d["fit"], key[4:]) if key.startswith("fit.") else (d, key)
+    section[name] = RETIRED_KEYS[key]
+    assert PipelineConfig.from_dict(d) == preset("ecg")
+    section[name] = RETIRED_OTHER_VALUES[key]
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_dict(d)
+
+
+def test_config_unknown_keys_rejected():
+    with pytest.raises(ValueError, match="If, sigmaa"):
+        PipelineConfig.from_dict({"sigmaa": 5e-5, "If": 3.0})
+    with pytest.raises(ValueError, match="fit.max_iter"):
+        PipelineConfig.from_dict({"fit": {"max_iter": 3}})
 
 
 def test_noiseless_reconstruction_snr(noiseless_result):
@@ -169,14 +219,6 @@ def test_pipeline_deterministic(cfg):
     r1 = denoise(noisy, cfg)
     r2 = denoise(noisy, cfg)
     assert np.array_equal(r1.reconstruction.samples, r2.reconstruction.samples)
-
-
-def test_r_override_skips_order_selection(cfg):
-    from dataclasses import replace
-
-    x, _ = generate(SyntheticSpec("tv_reconstruction"))
-    res = denoise(x, replace(cfg, r_override=2))
-    assert res.model.r == 2
 
 
 def test_stage_errors_carry_stage_tag(cfg):

@@ -57,7 +57,7 @@ def test_zero_signal_zero_spectrogram():
 
 def test_tone_peak_bin():
     spec = stft(_tone(40.0), SIGMA)
-    mag = spec.magnitude()
+    mag = np.abs(spec.values)
     k40 = np.argmin(np.abs(spec.freq_axis - 40.0))
     peaks = np.argmax(mag[_interior(spec)], axis=1)
     assert np.all(np.abs(spec.freq_axis[peaks] - spec.freq_axis[k40]) <= spec.bin_width)
@@ -107,34 +107,25 @@ def test_ridge_jump_bound_holds():
     assert np.max(np.abs(np.diff(ridge.freq))) <= 2.0 + 1e-9
 
 
-def test_ridge_band_and_errors():
+def test_ridge_jump_below_bin_width_rejected():
     spec = stft(_tone(40.0), SIGMA)
     with pytest.raises(ValueError):
-        extract_ridge(spec, max_jump_hz=2.0, band=(500.0, 400.0))
-    with pytest.raises(ValueError):
         extract_ridge(spec, max_jump_hz=spec.bin_width / 4)
-    ridge = extract_ridge(spec, max_jump_hz=2.0, band=(30.0, 50.0))
-    assert 30.0 <= ridge.freq[0] <= 50.0
 
 
-def _reference_ridge(spec, max_jump_hz, band=None):
+def _reference_ridge(spec, max_jump_hz):
     """Greedy ridge over a full magnitude copy of the spectrogram."""
-    mag = spec.magnitude()
-    lo, hi = 0, mag.shape[1]
-    if band is not None:
-        lo = int(np.searchsorted(spec.freq_axis, band[0], side="left"))
-        hi = int(np.searchsorted(spec.freq_axis, band[1], side="right"))
-    sub = mag[:, lo:hi]
-    anchor_t, anchor_f = np.unravel_index(np.argmax(sub), sub.shape)
-    anchor_f += lo
+    mag = np.abs(spec.values)
+    hi = mag.shape[1]
+    anchor_t, anchor_f = np.unravel_index(np.argmax(mag), mag.shape)
     jump = max(1, int(np.floor(max_jump_hz / spec.bin_width)))
     idx = np.empty(mag.shape[0], dtype=int)
     idx[anchor_t] = anchor_f
     for n in range(anchor_t + 1, mag.shape[0]):
-        a, b = max(lo, idx[n - 1] - jump), min(hi, idx[n - 1] + jump + 1)
+        a, b = max(0, idx[n - 1] - jump), min(hi, idx[n - 1] + jump + 1)
         idx[n] = a + int(np.argmax(mag[n, a:b]))
     for n in range(anchor_t - 1, -1, -1):
-        a, b = max(lo, idx[n + 1] - jump), min(hi, idx[n + 1] + jump + 1)
+        a, b = max(0, idx[n + 1] - jump), min(hi, idx[n + 1] + jump + 1)
         idx[n] = a + int(np.argmax(mag[n, a:b]))
     return spec.freq_axis[idx]
 
@@ -144,16 +135,15 @@ def test_ridge_matches_full_magnitude_search(monkeypatch, block):
     monkeypatch.setattr(stft_module, "BLOCK_ELEMENTS", block)
     x, _ = generate(SyntheticSpec("tv_reconstruction"))
     spec = stft(add_noise(x, 0.0, 1), SIGMA)
-    for band in (None, (30.0, 90.0)):
-        ridge = extract_ridge(spec, 2.0, band)
-        assert np.array_equal(ridge.freq, _reference_ridge(spec, 2.0, band))
+    ridge = extract_ridge(spec, 2.0)
+    assert np.array_equal(ridge.freq, _reference_ridge(spec, 2.0))
     # equal maxima in two frames, far apart in frequency: the earlier frame
     # anchors the ridge, as a single argmax over the whole band would pick
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 1.0, (6, 20)) + 0j
     values[1, 3] = values[4, 15] = 5.0
-    tied = Spectrogram(values, np.arange(20.0), fs=38.0, t0=0.0, window_sigma=SIGMA,
-                       window_norm=1.0, window_halfwidth=1, nfft=38)
+    tied = Spectrogram(values, np.arange(20.0), fs=38.0, window_norm=1.0, window_halfwidth=1,
+                       nfft=38, window_coverage=np.ones(6))
     ridge = extract_ridge(tied, 2.0)
     assert ridge.freq[1] == 3.0
     assert np.array_equal(ridge.freq, _reference_ridge(tied, 2.0))
@@ -258,15 +248,3 @@ def test_threshold_coefficients_idempotent_and_soft_shrinks():
     with pytest.raises(ValueError):
         threshold_coefficients(F, eta, "medium")
 
-
-def test_spectrogram_export(tmp_path):
-    spec = stft(_tone(n=256), SIGMA)
-    mpath = tmp_path / "mag.npy"
-    jpath = tmp_path / "axes.json"
-    spec.export(mpath, jpath)
-    mag = np.load(mpath)
-    assert mag.shape == spec.values.shape
-    import json
-
-    meta = json.loads(jpath.read_text())
-    assert meta["fs"] == FS and meta["nfft"] == spec.nfft
