@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +32,18 @@ def _default_out_dir() -> str:
     return os.environ.get("TVSHAPE_OUT", ".")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_input(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input")
     p.add_argument("--fs", type=float, help="sampling rate for single-column CSV input")
+
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS), help="per-signal-class parameter preset")
     p.add_argument("--config", help="JSON config file mirroring PipelineConfig fields")
     p.add_argument("--sigma", type=float, help="STFT window decay (per squared sample)")
     p.add_argument("--If", dest="max_jump", type=float, help="ridge max frequency jump, Hz")
     p.add_argument("--delta", type=float, help="reconstruction band half-width, Hz")
     p.add_argument("--rmax", type=int, help="largest harmonic order considered")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file/directory")
 
 
@@ -51,15 +55,9 @@ def _build_config(args) -> PipelineConfig:
         cfg = preset(args.preset)
     else:
         cfg = PipelineConfig()
-    if args.sigma is not None:
-        cfg.sigma = args.sigma
-    if args.max_jump is not None:
-        cfg.max_jump_hz = args.max_jump
-    if args.delta is not None:
-        cfg.delta = args.delta
-    if args.rmax is not None:
-        cfg.r_max = args.rmax
-    return cfg
+    # replace() reruns PipelineConfig's checks on the overridden values
+    flags = {"sigma": args.sigma, "max_jump_hz": args.max_jump, "delta": args.delta, "r_max": args.rmax}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_signal(path: str, fs: float | None) -> RealSignal:
@@ -170,18 +168,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("denoise", help="fit the wave-shape model and reconstruct")
-    d.add_argument("input")
+    _add_input(d)
     _add_config_flags(d)
     d.set_defaults(fn=cmd_denoise)
 
     dc = sub.add_parser("decompose", help="deflationary multicomponent extraction")
-    dc.add_argument("input")
+    _add_input(dc)
     dc.add_argument("-k", type=int, default=2, help="number of components")
     _add_config_flags(dc)
     dc.set_defaults(fn=cmd_decompose)
 
     sg = sub.add_parser("segment", help="locate sharp wave-shape transitions")
-    sg.add_argument("input")
+    _add_input(sg)
     sg.add_argument("--penalty", type=float, default=None)
     _add_config_flags(sg)
     sg.set_defaults(fn=cmd_segment)
@@ -191,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--snr", default="0,5,10,15,20", help="comma-separated input SNR levels, dB")
     b.add_argument("-n", type=int, default=20, help="realizations per level")
     b.add_argument("--jobs", type=int, default=1)
+    b.add_argument("--seed", type=int, default=0)
     _add_config_flags(b)
     b.set_defaults(fn=cmd_bench)
 

@@ -74,19 +74,17 @@ def acf(x: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     return r / r[0]
 
 
-def spectral_entropy(x: np.ndarray, frame_len: int | None = None) -> float:
+def spectral_entropy(x: np.ndarray) -> float:
     """Mean short-time spectral entropy in bits.
 
     Hann-windowed frames with 50% overlap; each frame's one-sided power
     spectrum is normalized to a distribution and its Shannon entropy (log2)
-    is averaged over frames. The default frame length of ~9.6% of the
-    record is calibrated so white noise over 5120 samples scores 7.34.
+    is averaged over frames. The frame length of ~9.6% of the record is
+    calibrated so white noise over 5120 samples scores 7.34.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    if frame_len is None:
-        frame_len = max(16, 2 * round(0.048 * n))
-    frame_len = min(frame_len, n)
+    frame_len = min(max(16, 2 * round(0.048 * n)), n)
     hop = max(1, frame_len // 2)
     w = np.hanning(frame_len)
     starts = range(0, n - frame_len + 1, hop)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,15 @@ class HarmonicModel:
         return HarmonicModel(self.e, self.c, self.nodes.copy(), self.degenerate)
 
 
+class HarmonicSlots(NamedTuple):
+    """Where one harmonic's coefficients sit in the coefficient vector."""
+
+    nodes: np.ndarray   # indices of the nodes whose times are free
+    times: slice        # vector entries of those times
+    amps: slice         # vector entries of all node amplitudes
+    c: int              # vector index of c; e sits at c + 1
+
+
 @dataclass
 class WaveShapeModel:
     """Full coefficient set of the fitted time-varying wave-shape."""
@@ -89,46 +99,45 @@ class WaveShapeModel:
         )
 
     # -- coefficient vector ------------------------------------------------
-    def free_time_slice(self, harmonic: HarmonicModel) -> slice:
-        """Indices of this harmonic's nodes whose times are free."""
-        j = len(harmonic.nodes)
-        if self.extension_map[0] > 0 or self.extension_map[1] > 0:
-            if j < 4:
+    def coefficient_layout(self) -> tuple[list[HarmonicSlots], int]:
+        """Per harmonic the slots of [free node times, all amplitudes, c, e] in
+        the coefficient vector, and its length. Record-edge node times are fixed,
+        and so are the original-record edges of a boundary-extended model."""
+        n_fixed = 2 if self.extension_map[0] > 0 or self.extension_map[1] > 0 else 1
+        slots, pos = [], 0
+        for h in self.harmonics:
+            j = len(h.nodes)
+            if j < 2 * n_fixed:
                 raise ValueError(
-                    f"harmonic l={round(harmonic.e)} has {j} nodes; a boundary-extended model "
+                    f"harmonic l={round(h.e)} has {j} nodes; a boundary-extended model "
                     "needs at least 4 (record and original-record edges are fixed)"
                 )
-            return slice(2, j - 2)
-        return slice(1, j - 1)
+            n_t = j - 2 * n_fixed
+            amps = slice(pos + n_t, pos + n_t + j)
+            slots.append(HarmonicSlots(np.arange(n_fixed, j - n_fixed), slice(pos, pos + n_t), amps, amps.stop))
+            pos = amps.stop + 2
+        return slots, pos
 
     def flatten(self) -> np.ndarray:
-        """Coefficient vector: per harmonic [inner times, all amps, c, e]."""
-        parts = []
-        for h in self.harmonics:
-            parts.append(h.nodes.times[self.free_time_slice(h)])
-            parts.append(h.nodes.amps)
-            parts.append([h.c, h.e])
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts)
+        """Coefficient vector in the order of `coefficient_layout`."""
+        slots, size = self.coefficient_layout()
+        gamma = np.empty(size)
+        for h, s in zip(self.harmonics, slots):
+            gamma[s.times] = h.nodes.times[s.nodes]
+            gamma[s.amps] = h.nodes.amps
+            gamma[s.c : s.c + 2] = h.c, h.e
+        return gamma
 
     def unflatten(self, gamma: np.ndarray) -> "WaveShapeModel":
         """Rebuild a model with the same structure from a coefficient vector."""
+        slots, size = self.coefficient_layout()
+        if gamma.size != size:
+            raise ValueError(f"coefficient vector has {gamma.size} entries, expected {size}")
         out = self.copy()
-        pos = 0
-        for h in out.harmonics:
-            sl = self.free_time_slice(h)
-            k = sl.stop - sl.start
-            h.nodes.times[sl] = gamma[pos : pos + k]
-            pos += k
-            j = len(h.nodes)
-            h.nodes.amps[:] = gamma[pos : pos + j]
-            pos += j
-            h.c = float(gamma[pos])
-            h.e = float(gamma[pos + 1])
-            pos += 2
-        if pos != gamma.size:
-            raise ValueError(f"coefficient vector has {gamma.size} entries, expected {pos}")
+        for h, s in zip(out.harmonics, slots):
+            h.nodes.times[s.nodes] = gamma[s.times]
+            h.nodes.amps[:] = gamma[s.amps]
+            h.c, h.e = float(gamma[s.c]), float(gamma[s.c + 1])
         return out
 
     # -- serialization -----------------------------------------------------
@@ -216,31 +225,26 @@ def synthesize(
     is None.
     """
     out = np.cos(2 * np.pi * phi1)
+    if knot_step is not None:
+        slots, size = model.coefficient_layout()
     # column-major, the layout numpy gives a column subset J[:, mask]: the
     # fitter's normal equations (J^T r, J^T J) then round the same way whether
     # it uses all of J in place or a subset of frozen-node columns
-    J = None if knot_step is None else np.zeros((phi1.size, model.flatten().size), order="F")
-    pos = 0
-    for h in model.harmonics:
+    J = None if knot_step is None else np.zeros((phi1.size, size), order="F")
+    for k, h in enumerate(model.harmonics):
         arg = 2 * np.pi * h.e * phi1
         cos_a, sin_a = np.cos(arg), np.sin(arg)
         theta = cos_a + h.c * sin_a
         if J is None:
             haf = pchip_eval(h.nodes.times, h.nodes.amps, t)
         else:
+            s = slots[k]
             haf, W = pchip_eval_with_amp_jacobian(h.nodes.times, h.nodes.amps, t)
-            sl = model.free_time_slice(h)
-            rows, cols, dhaf = pchip_knot_differences(
-                h.nodes.times, h.nodes.amps, t, np.arange(sl.start, sl.stop), knot_step
-            )
-            J[rows, pos + cols] = dhaf * theta[rows]
-            pos += sl.stop - sl.start
-            n_a = len(h.nodes)
-            np.multiply(W, theta[:, None], out=J[:, pos : pos + n_a])
-            pos += n_a
-            J[:, pos] = haf * sin_a                                         # d/dc
-            J[:, pos + 1] = haf * 2 * np.pi * phi1 * (-sin_a + h.c * cos_a)  # d/de
-            pos += 2
+            rows, cols, dhaf = pchip_knot_differences(h.nodes.times, h.nodes.amps, t, s.nodes, knot_step)
+            J[rows, s.times.start + cols] = dhaf * theta[rows]
+            np.multiply(W, theta[:, None], out=J[:, s.amps])
+            J[:, s.c] = haf * sin_a                                         # d/dc
+            J[:, s.c + 1] = haf * 2 * np.pi * phi1 * (-sin_a + h.c * cos_a)  # d/de
         out = out + haf * theta
     return out, J
 

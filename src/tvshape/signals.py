@@ -89,11 +89,10 @@ def read_signal_csv(path_or_buf, fs: float | None = None) -> RealSignal:
     return RealSignal(v, fs=fs_inferred, t0=float(t[0]))
 
 
-def write_signal_csv(path, signal: RealSignal, header: bool = True) -> None:
-    """Write ``t,value`` rows; re-parseable by read_signal_csv."""
+def write_signal_csv(path, signal: RealSignal) -> None:
+    """Write a ``t,value`` header and rows; re-parseable by read_signal_csv."""
     t = signal.times()
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write("t,value\n")
+        fh.write("t,value\n")
         for ti, vi in zip(t, signal.samples):
             fh.write(f"{ti:.9g},{vi:.12g}\n")

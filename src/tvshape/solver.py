@@ -1,11 +1,10 @@
 """Constrained Levenberg-Marquardt fit of the wave-shape coefficient vector.
 
-Minimizes ||x_demod - model(gamma)||^2 over the flattened coefficients
-(inner node times, node amplitudes, quadrature coefficient, phase ratio
-per harmonic). Constraints are enforced by projection after every trial
-step: phase ratios stay inside a box around their integer, node times
-stay strictly ordered with a minimum gap, and edge node times never move
-(they are not part of the coefficient vector at all).
+Minimizes ||x_demod - model(gamma)||^2 over the coefficient vector that
+`WaveShapeModel.coefficient_layout` lays out. Constraints are enforced by
+projection after every trial step: phase ratios stay inside a box around
+their integer, node times stay strictly ordered with a minimum gap, and
+edge node times never move (they are not part of the vector at all).
 
 The model and its jacobian come from `model.synthesize`, the one place
 the wave-shape formula is written: node amplitudes, quadrature
@@ -16,7 +15,7 @@ central differences on the four intervals a node moves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +41,10 @@ class FitOptions:
     def __post_init__(self):
         if not 0 < self.e_bound < 0.5:
             raise ValueError("e_bound must be in (0, 0.5)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if self.min_node_gap is not None and not self.min_node_gap > 0:
+            raise ValueError("min_node_gap must be positive")
 
 
 @dataclass
@@ -79,41 +82,35 @@ class FitContext:
     min_node_gap: float
     e_bound: float
     freeze_nodes: bool = False
-    # layout: per-gamma-entry (harmonic index, kind) with kind in t/a/c/e
-    layout: list[tuple[int, str]] = field(init=False)
-
-    def __post_init__(self):
-        layout = []
-        for hi, h in enumerate(self.template.harmonics):
-            sl = self.template.free_time_slice(h)
-            layout += [(hi, "t")] * (sl.stop - sl.start)
-            layout += [(hi, "a")] * len(h.nodes)
-            layout += [(hi, "c"), (hi, "e")]
-        self.layout = layout
 
     def free_index(self) -> slice | np.ndarray:
         """Index of the coefficients the fit moves: all of them, or only the
         quadrature coefficients and phase ratios when nodes are frozen."""
         if not self.freeze_nodes:
             return slice(None)      # a view: no copy of J per iteration
-        return np.array([kind in ("c", "e") for _, kind in self.layout])
+        slots, size = self.template.coefficient_layout()
+        free = np.zeros(size, dtype=bool)
+        for s in slots:
+            free[s.c : s.c + 2] = True
+        return free
 
     def project(self, gamma: np.ndarray) -> np.ndarray:
         """Clamp a trial vector back into the feasible set."""
-        model = self.template.unflatten(gamma)
-        for h in model.harmonics:
-            ell = round(h.e)
-            h.e = float(np.clip(h.e, ell - self.e_bound, ell + self.e_bound))
-            sl = self.template.free_time_slice(h)
-            times = h.nodes.times
-            gap = self.min_node_gap
-            for i in range(sl.start, sl.stop):
-                times[i] = max(times[i], times[i - 1] + gap)
-            for i in range(sl.stop - 1, sl.start - 1, -1):
-                times[i] = min(times[i], times[i + 1] - gap)
+        out = gamma.copy()
+        slots, _ = self.template.coefficient_layout()
+        for h, s in zip(self.template.harmonics, slots):
+            ell = round(float(out[s.c + 1]))
+            out[s.c + 1] = np.clip(out[s.c + 1], ell - self.e_bound, ell + self.e_bound)
+            times = h.nodes.times.copy()      # fixed edge times from the template
+            times[s.nodes] = out[s.times]
+            for i in s.nodes:
+                times[i] = max(times[i], times[i - 1] + self.min_node_gap)
+            for i in s.nodes[::-1]:
+                times[i] = min(times[i], times[i + 1] - self.min_node_gap)
             if np.any(np.diff(times) <= 0):
                 raise FitError("node ordering infeasible under the minimum gap")
-        return model.flatten()
+            out[s.times] = times[s.nodes]
+        return out
 
     def synthesize(self, gamma: np.ndarray) -> np.ndarray:
         return synthesize(self.template.unflatten(gamma), self.phi1, self.t)[0]
@@ -131,11 +128,12 @@ def residual_and_jacobian(gamma: np.ndarray, ctx: FitContext) -> tuple[np.ndarra
 
 def _fd_jacobian(gamma: np.ndarray, ctx: FitContext) -> np.ndarray:
     """Full central-difference jacobian (testing oracle)."""
+    is_time = np.zeros(gamma.size, dtype=bool)
+    for s in ctx.template.coefficient_layout()[0]:
+        is_time[s.times] = True
     J = np.empty((ctx.target.size, gamma.size))
     for i in range(gamma.size):
-        h = 1e-7 * max(1.0, abs(gamma[i]))
-        if ctx.layout[i][1] == "t":
-            h = ctx.min_node_gap / 10.0
+        h = ctx.min_node_gap / 10.0 if is_time[i] else 1e-7 * max(1.0, abs(gamma[i]))
         gp, gm = gamma.copy(), gamma.copy()
         gp[i] += h
         gm[i] -= h

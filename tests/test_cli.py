@@ -135,6 +135,36 @@ def test_bad_config_file_usage_error(tmp_path, s1_csv, capsys, cfg):
     assert "usage error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--sigma", "-1"], ["--If", "0"], ["--delta", "-2"], ["--rmax", "0"]])
+def test_out_of_range_config_flag_usage_error(tmp_path, s1_csv, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["denoise", str(s1_csv), "--preset", "synthetic", *flag, "--out", str(out)]) == EXIT_USAGE
+    assert "usage error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fit", [{"min_node_gap": 0}, {"min_node_gap": -0.001}, {"max_iters": 0}, {"max_iters": -3}]
+)
+def test_out_of_range_fit_option_usage_error(tmp_path, s1_csv, capsys, fit):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"fit": fit}))
+    out = tmp_path / "out"
+    assert main(["denoise", str(s1_csv), "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+    assert f"usage error: {next(iter(fit))}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["denoise", "--seed", "1"], ["decompose", "--seed", "1"], ["segment", "--seed", "1"],
+             ["bench", "--fs", "2000"]],
+)
+def test_flag_the_command_does_not_read_usage_error(tmp_path, s1_csv, argv):
+    target = "tv_denoise_s1" if argv[0] == "bench" else str(s1_csv)
+    assert main([argv[0], target, *argv[1:], "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_command(tmp_path):
     out = tmp_path / "bench"
     code = main([

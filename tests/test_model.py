@@ -71,6 +71,29 @@ def test_flatten_roundtrip_bit_exact(rng):
         assert h0.c == h1.c and h0.e == h1.e
 
 
+@pytest.mark.parametrize("ext, n_fixed", [((0, 0), 1), ((200, 200), 2), ((0, 150), 2)])
+def test_flatten_follows_coefficient_layout(rng, ext, n_fixed):
+    m = _model(r=4, n_nodes=6, ext=ext)
+    m.harmonics[1].nodes = HafNodes(np.linspace(0.0, 1.0, 9), np.zeros(9))
+    for h in m.harmonics:
+        h.nodes.amps[:] = rng.standard_normal(len(h.nodes))
+        h.nodes.times[1:-1] = np.sort(rng.uniform(0.1, 0.9, len(h.nodes) - 2))
+        h.c, h.e = rng.standard_normal(), h.e + rng.uniform(-0.05, 0.05)
+    gamma = m.flatten()
+    slots, size = m.coefficient_layout()
+    assert gamma.size == size
+    pos = 0
+    for h, s in zip(m.harmonics, slots):
+        # per harmonic, contiguous: [free node times, all amplitudes, c, e]
+        assert np.array_equal(s.nodes, np.arange(n_fixed, len(h.nodes) - n_fixed))
+        assert (s.times.start, s.amps.start, s.c) == (pos, s.times.stop, s.amps.stop)
+        assert np.array_equal(gamma[s.times], h.nodes.times[s.nodes])
+        assert np.array_equal(gamma[s.amps], h.nodes.amps)
+        assert (gamma[s.c], gamma[s.c + 1]) == (h.c, h.e)
+        pos = s.c + 2
+    assert pos == size
+
+
 def test_coefficient_count():
     # per harmonic: (I-2) inner times + I amps + c + e = 2I
     m = _model(r=3, n_nodes=7)

@@ -67,7 +67,7 @@ def test_analytic_jacobian_matches_finite_differences(rng):
         for i in range(gamma.size):
             scale = max(np.max(np.abs(J_fd[:, i])), 1e-9)
             err = np.max(np.abs(J[:, i] - J_fd[:, i])) / scale
-            assert err < 1e-5, f"column {i} ({ctx.layout[i]}): rel err {err}"
+            assert err < 1e-5, f"column {i}: rel err {err}"
 
 
 def _reference_residual_and_jacobian(gamma, ctx):
@@ -77,16 +77,14 @@ def _reference_residual_and_jacobian(gamma, ctx):
     synth = np.cos(2 * np.pi * ctx.phi1)
     pos = 0
     dt_h = ctx.min_node_gap / 10.0
-    for h in model.harmonics:
+    for h, slots in zip(model.harmonics, ctx.template.coefficient_layout()[0]):
         arg = 2 * np.pi * h.e * ctx.phi1
         cos_a, sin_a = np.cos(arg), np.sin(arg)
         theta = cos_a + h.c * sin_a
         haf, W = pchip_eval_with_amp_jacobian(h.nodes.times, h.nodes.amps, ctx.t)
         synth = synth + haf * theta
-        sl = ctx.template.free_time_slice(h)
-        n_t = sl.stop - sl.start
-        for k in range(n_t):
-            i = sl.start + k
+        n_t = slots.nodes.size
+        for k, i in enumerate(slots.nodes):
             tp = h.nodes.times.copy()
             tm = h.nodes.times.copy()
             tp[i] += dt_h
@@ -132,8 +130,7 @@ def test_node_time_perturbation_is_local(rng):
         times = h.nodes.times
         slopes = pchip_slopes(times, h.nodes.amps)
         t = ctx.t
-        sl = model.free_time_slice(h)
-        for i in range(sl.start, sl.stop):
+        for i in model.coefficient_layout()[0][0].nodes:
             pert = model.copy()
             pert.harmonics[0].nodes.times[i] += 1e-3
             after = ctx.synthesize(pert.flatten())
@@ -163,7 +160,7 @@ def test_constant_haf_amp_columns_are_hat_weights(rng):
     ctx = _context(model)
     gamma = model.flatten()
     _, J = residual_and_jacobian(gamma, ctx)
-    n_t = model.free_time_slice(h).stop - model.free_time_slice(h).start
+    n_t = model.coefficient_layout()[0][0].nodes.size
     n_nodes = len(h.nodes)
     amp_cols = J[:, n_t : n_t + n_nodes]
     arg = 2 * np.pi * h.e * ctx.phi1
@@ -187,6 +184,77 @@ def test_constant_haf_amp_columns_are_hat_weights(rng):
     expected[rows, j] = -h00 * theta
     expected[rows, j + 1] = -(1 - h00) * theta
     assert np.allclose(amp_cols, expected, atol=1e-12)
+
+
+def _reference_project(ctx, gamma):
+    """The projection clamped on a rebuilt model: unflatten, clamp, flatten."""
+    model = ctx.template.unflatten(gamma)
+    edge = 2 if ctx.template.extension_map != (0, 0) else 1
+    for h in model.harmonics:
+        ell = round(h.e)
+        h.e = float(np.clip(h.e, ell - ctx.e_bound, ell + ctx.e_bound))
+        times = h.nodes.times
+        for i in range(edge, len(times) - edge):
+            times[i] = max(times[i], times[i - 1] + ctx.min_node_gap)
+        for i in range(len(times) - edge - 1, edge - 1, -1):
+            times[i] = min(times[i], times[i + 1] - ctx.min_node_gap)
+        if np.any(np.diff(times) <= 0):
+            raise FitError("node ordering infeasible under the minimum gap")
+    return model.flatten()
+
+
+@pytest.mark.parametrize("extension_map", [(0, 0), (200, 200)])
+def test_project_equals_model_roundtrip_bitwise(rng, extension_map):
+    clamped = 0
+    for n_nodes in (4, 6, 9):
+        model = _random_model(rng, r=4, n_nodes=n_nodes)
+        model.extension_map = extension_map
+        ctx = _context(model)
+        slots, _ = model.coefficient_layout()
+        for _ in range(20):
+            # infeasible trial vectors: node times out of order or closer than
+            # the gap, phase ratios outside their box
+            gamma = model.flatten() + 0.3 * rng.standard_normal(model.flatten().size)
+            for s in slots:
+                times = rng.uniform(-0.1, 1.1, s.nodes.size)
+                times[1::2] = times[::2][: times[1::2].size] + rng.choice([-1e-4, 1e-4])
+                gamma[s.times] = times
+            before = gamma.copy()
+            out = ctx.project(gamma)
+            assert np.array_equal(gamma, before)
+            assert np.array_equal(out, _reference_project(ctx, gamma))
+            clamped += not np.array_equal(out, gamma)
+    assert clamped > 0
+    # node times that no ordering with the minimum gap can hold
+    ctx.min_node_gap = 0.3
+    with pytest.raises(FitError, match="infeasible"):
+        ctx.project(gamma)
+    with pytest.raises(FitError, match="infeasible"):
+        _reference_project(ctx, gamma)
+
+
+@pytest.mark.parametrize("extension_map", [(0, 0), (200, 200)])
+def test_freeze_nodes_mask_selects_c_and_e(rng, extension_map):
+    model = _random_model(rng, r=4, n_nodes=6)
+    model.extension_map = extension_map
+    ctx = _context(model)
+    assert ctx.free_index() == slice(None)
+    ctx.freeze_nodes = True
+    moved = model.copy()
+    for h in moved.harmonics:
+        h.c, h.e = h.c + 1.0, h.e + 0.01
+    assert np.array_equal(ctx.free_index(), moved.flatten() != model.flatten())
+    assert ctx.free_index().sum() == 2 * len(model.harmonics)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"min_node_gap": 0.0}, "min_node_gap"), ({"min_node_gap": -1e-3}, "min_node_gap"),
+     ({"max_iters": 0}, "max_iters"), ({"max_iters": -3}, "max_iters"), ({"e_bound": 0.5}, "e_bound")],
+)
+def test_fit_options_reject_out_of_range_values(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        FitOptions(**kwargs)
 
 
 def test_fit_from_ground_truth_converges_fast(recon_signal):
