@@ -23,6 +23,7 @@ from .signals import RealSignal
 from .stft import threshold_denoise
 
 DENOISE_KINDS = ("tv_denoise_s1", "tv_denoise_s2", "tv_denoise_s3", "tv_denoise_s4")
+EXPERIMENTS = DENOISE_KINDS + ("multicomponent", "segmentation")
 
 
 @dataclass
@@ -31,7 +32,6 @@ class BenchSpec:
     snr_levels: list[float] = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0])
     n_realizations: int = 20
     seed: int = 0
-    output_dir: str | Path = "bench_out"
     config: PipelineConfig = field(default_factory=PipelineConfig)
     n_jobs: int = 1
 
@@ -40,9 +40,10 @@ class BenchSpec:
             raise ValueError("need at least one realization")
         if not self.snr_levels:
             raise ValueError("snr_levels must be non-empty")
-        valid = DENOISE_KINDS + ("multicomponent", "segmentation")
-        if self.experiment not in valid:
-            raise ValueError(f"experiment must be one of {valid}")
+        if self.n_jobs < 1:
+            raise ValueError("n_jobs must be at least 1")
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"experiment must be one of {EXPERIMENTS}")
 
 
 def _cell_seed(base: int, level_idx: int, realization: int) -> int:
@@ -110,14 +111,14 @@ def run_denoise_bench(spec: BenchSpec) -> dict:
 # -- multicomponent decomposition --------------------------------------------
 
 def _decompose_cell(args):
-    snr_db, seed, cfgs = args
+    snr_db, seed, cfg = args
     x, gt = generate(SyntheticSpec("multicomponent"))
     noisy = add_noise(x, snr_db, seed)
     out = {}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            parts = decompose(noisy, cfgs, K=len(gt.components))
+            parts = decompose(noisy, [cfg], K=len(gt.components))
         fs = x.fs
         for res in parts:
             fm = float(np.mean(res.ridge.freq))
@@ -137,9 +138,8 @@ def _decompose_cell(args):
     return out
 
 
-def run_decompose_bench(spec: BenchSpec, cfgs: list[PipelineConfig] | None = None) -> dict:
-    cfgs = cfgs or [spec.config]
-    groups = _sweep(spec, _decompose_cell, cfgs)
+def run_decompose_bench(spec: BenchSpec) -> dict:
+    groups = _sweep(spec, _decompose_cell, spec.config)
     keys = ("comp1_ours", "comp1_lr", "comp2_ours", "comp2_lr", "sum")
     table = _summary_rows(groups, keys, (("mean", np.mean),))
     return {"experiment": "multicomponent", "rows": table, "methods": list(keys)}

@@ -10,16 +10,18 @@ def pelt_mean_changes(z: np.ndarray, penalty: float | None = None) -> list[int]:
 
     Segment cost is the within-segment sum of squared deviations; a change
     is added only when it lowers the total cost by more than the penalty.
-    The default penalty, a tenth of the zero-change cost, admits a
-    dominant level shift while rejecting the smooth wiggles of an
-    interpolated trace (a constant trace yields no changes).
+    The default penalty, a tenth of the zero-change cost with a floor at
+    (5% of the trace level)^2 per sample, admits a dominant level shift
+    while rejecting the smooth wiggles of an interpolated trace and the
+    fit wiggle on a flat one (a constant trace yields no changes).
     """
     z = np.asarray(z, dtype=float)
     n = z.size
     if n < 4:
         return []
     if penalty is None:
-        penalty = 0.1 * n * float(np.var(z))
+        level = float(np.mean(np.abs(z)))
+        penalty = max(0.1 * n * float(np.var(z)), (0.05 * level) ** 2 * n)
     if penalty <= 0:
         penalty = 1e-12 * max(float(np.abs(z).max()) ** 2, 1.0)
 

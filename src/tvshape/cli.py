@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchSpec, run_bench, write_bench_outputs
+from .bench import EXPERIMENTS, BenchSpec, run_bench, write_bench_outputs
 from .generators import KINDS, SyntheticSpec, generate
 from .metrics import add_noise
 from .model import WaveShapeModel, evaluate_model, remodulate
 from .pipeline import PRESETS, PipelineConfig, decompose, denoise, preset, segment
-from .signals import RealSignal, read_signal_csv, write_signal_csv
+from .signals import read_signal_csv, write_signal_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -38,8 +38,9 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=sorted(PRESETS), help="per-signal-class parameter preset")
-    p.add_argument("--config", help="JSON config file mirroring PipelineConfig fields")
+    base = p.add_mutually_exclusive_group()
+    base.add_argument("--preset", choices=sorted(PRESETS), help="per-signal-class parameter preset")
+    base.add_argument("--config", help="JSON config file mirroring PipelineConfig fields")
     p.add_argument("--sigma", type=float, help="STFT window decay (per squared sample)")
     p.add_argument("--If", dest="max_jump", type=float, help="ridge max frequency jump, Hz")
     p.add_argument("--delta", type=float, help="reconstruction band half-width, Hz")
@@ -60,12 +61,8 @@ def _build_config(args) -> PipelineConfig:
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _load_signal(path: str, fs: float | None) -> RealSignal:
-    return read_signal_csv(path, fs=fs)
-
-
 def cmd_denoise(args) -> int:
-    x = _load_signal(args.input, args.fs)
+    x = read_signal_csv(args.input, fs=args.fs)
     cfg = _build_config(args)
     res = denoise(x, cfg)
     out = Path(args.out or _default_out_dir())
@@ -79,7 +76,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    x = _load_signal(args.input, args.fs)
+    x = read_signal_csv(args.input, fs=args.fs)
     cfg = _build_config(args)
     results = decompose(x, [cfg], K=args.k)
     out = Path(args.out or _default_out_dir())
@@ -96,7 +93,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    x = _load_signal(args.input, args.fs)
+    x = read_signal_csv(args.input, fs=args.fs)
     cfg = _build_config(args)
     res = segment(x, cfg, penalty=args.penalty)
     out = Path(args.out or _default_out_dir())
@@ -123,12 +120,11 @@ def cmd_bench(args) -> int:
         snr_levels=[float(v) for v in args.snr.split(",")],
         n_realizations=args.n,
         seed=args.seed,
-        output_dir=args.out or _default_out_dir(),
         config=cfg,
         n_jobs=args.jobs,
     )
     result = run_bench(spec)
-    csv_path, json_path = write_bench_outputs(result, spec.output_dir)
+    csv_path, json_path = write_bench_outputs(result, args.out or _default_out_dir())
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
@@ -185,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sg.set_defaults(fn=cmd_segment)
 
     b = sub.add_parser("bench", help="Monte-Carlo benchmark sweep")
-    b.add_argument("experiment", choices=[*KINDS[1:5], "multicomponent", "segmentation"])
+    b.add_argument("experiment", choices=EXPERIMENTS)
     b.add_argument("--snr", default="0,5,10,15,20", help="comma-separated input SNR levels, dB")
     b.add_argument("-n", type=int, default=20, help="realizations per level")
     b.add_argument("--jobs", type=int, default=1)

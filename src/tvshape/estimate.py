@@ -113,8 +113,8 @@ def warm_start(
     phi1: np.ndarray,
     r: int,
     node_counts: list[int],
-    extension: tuple[int, int] = (0, 0),
-    fundamental: FundamentalEstimate | None = None,
+    extension: tuple[int, int],
+    fundamental: FundamentalEstimate,
 ) -> WaveShapeModel:
     """Initial model from the fixed-shape linear regression.
 
@@ -125,7 +125,9 @@ def warm_start(
     are an equidistant grid over the record, plus fixed nodes at the
     original-record edges when a boundary extension is present.
 
-    node_counts lists the inner grid size per harmonic l = 2..r.
+    node_counts lists the inner grid size per harmonic l = 2..r; extension
+    is (n_pre, n_post) in samples; the model keeps fundamental as the
+    reference it resynthesizes on.
     """
     if len(node_counts) != r - 1:
         raise ValueError("need one node count per harmonic l = 2..r")

@@ -17,7 +17,8 @@ import numpy as np
 from .metrics import acf
 from .signals import RealSignal
 
-MIN_LAG = 4     # shortest period in samples the autocorrelation peak search considers
+MIN_LAG = 4             # shortest period in samples the autocorrelation peak search considers
+EXTENSION_FACTOR = 0.1  # forecast samples added per side, as a fraction of the record
 
 
 @dataclass
@@ -27,8 +28,9 @@ class ExtensionResult:
     n_post: int
 
     @property
-    def original_length(self) -> int:
-        return len(self.extended) - self.n_pre - self.n_post
+    def core(self) -> slice:
+        """Samples of the extended record that hold the original one."""
+        return slice(self.n_pre, len(self.extended) - self.n_post)
 
 
 def estimate_cycle_len(x: RealSignal) -> int:
@@ -105,34 +107,23 @@ def _seasonal_ar_forecast(w: np.ndarray, season: float, n_ahead: int, order: int
     return out
 
 
-def extend_boundaries(
-    x: RealSignal,
-    cycle_len: float,
-    factor: float = 0.1,
-    cycle_len_back: float | None = None,
-) -> ExtensionResult:
-    """Extend the record by ceil(factor*N) forecast samples on each side.
+def extend_boundaries(x: RealSignal, cycle_len: float, cycle_len_back: float) -> ExtensionResult:
+    """Extend the record by ceil(EXTENSION_FACTOR*N) forecast samples on each side.
 
-    The forward forecaster is fitted on the last 3 cycles; the backward
-    extension applies the same procedure to the time-reversed record
-    (optionally with its own cycle length, since the local period can
-    differ between the two edges). Fractional cycle lengths are honored by
+    The forward forecaster is fitted on the last 3 cycles of length
+    cycle_len; the backward extension applies the same procedure to the
+    time-reversed record with cycle_len_back, since the local period can
+    differ between the two edges. Fractional cycle lengths are honored by
     the forecaster. The central segment of the result equals the input
     exactly.
     """
     n = len(x)
-    if factor < 0:
-        raise ValueError("extension factor must be >= 0")
-    if factor == 0:
-        return ExtensionResult(extended=x, n_pre=0, n_post=0)
-    if cycle_len_back is None:
-        cycle_len_back = cycle_len
     for c in (cycle_len, cycle_len_back):
         if c < 4:
             raise ValueError("cycle length must be at least 4 samples")
         if 3 * c > n:
             raise ValueError("record holds fewer than 3 cycles; cannot fit the forecaster")
-    n_p = int(np.ceil(factor * n))
+    n_p = int(np.ceil(EXTENSION_FACTOR * n))
     w_fwd = int(np.ceil(3 * cycle_len))
     w_bwd = int(np.ceil(3 * cycle_len_back))
     fwd = _seasonal_ar_forecast(x.samples[-w_fwd:], cycle_len, n_p)
@@ -148,9 +139,4 @@ def trim(y: RealSignal, ext: ExtensionResult) -> RealSignal:
         raise ValueError(
             f"signal length {len(y)} does not match extended length {len(ext.extended)}"
         )
-    n = ext.original_length
-    return RealSignal(
-        y.samples[ext.n_pre : ext.n_pre + n],
-        fs=y.fs,
-        t0=y.t0 + ext.n_pre / y.fs,
-    )
+    return RealSignal(y.samples[ext.core], fs=y.fs, t0=y.t0 + ext.n_pre / y.fs)

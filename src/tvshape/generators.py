@@ -117,12 +117,15 @@ class GroundTruth:
         )
 
 
+_TRANSITION_PARAMS = {"draw", "kappa", "r", "t_t", "mu", "lam"}
+
+
 @dataclass
 class SyntheticSpec:
     """Recipe for one synthetic record.
 
-    params overrides the per-kind defaults; see the builder for each kind
-    for the recognized keys.
+    params sets the sharp_transition protocol: draw, kappa, r, t_t, mu and
+    lam (see _sharp_transition_truth). The other kinds take no params.
     """
 
     kind: str
@@ -137,18 +140,23 @@ class SyntheticSpec:
             raise ValueError("duration must be positive")
         if self.fs <= 0:
             raise ValueError("fs must be positive")
+        allowed = _TRANSITION_PARAMS if self.kind == "sharp_transition" else set()
+        unknown = sorted(set(self.params) - allowed)
+        if unknown:
+            raise ValueError(f"kind {self.kind!r} takes no params {unknown}")
 
 
-def _b1_default(t):
+def _b1_law(t):
     return 0.1 * np.sqrt(t + 1.0)
 
 
-def _phi1_default(t):
+def _phi1_law(t):
     return 40.0 * t + 5.0 / (2 * np.pi) * np.sin(2 * np.pi * t)
 
 
 # HAF laws for the four denoising wave-shape families. s1 pairs two cosine
-# modulations; s2 linear+cosine; s3 tanh+bump; s4 linear+tanh.
+# modulations; s2 linear+cosine; s3 tanh+bump; s4 linear+tanh. All four
+# share the fundamental laws above and the phase ratios below.
 _DENOISE_FAMILIES: dict[str, dict[int, Callable]] = {
     "tv_denoise_s1": {
         2: lambda t: 0.5 + 0.25 * np.cos(2 * np.pi * 3 * t),
@@ -167,6 +175,7 @@ _DENOISE_FAMILIES: dict[str, dict[int, Callable]] = {
         3: lambda t: 0.4 + 0.25 * np.tanh(10 * (t - 0.5)),
     },
 }
+_DENOISE_E = {2: 2.005, 3: 2.995}
 
 
 def _sample_component(t, b1_fn, phi1_fn, haf_laws, e, c) -> ComponentTruth:
@@ -183,16 +192,10 @@ def _sample_component(t, b1_fn, phi1_fn, haf_laws, e, c) -> ComponentTruth:
     return comp
 
 
-def _monocomponent_truth(spec: SyntheticSpec, haf_laws, e) -> GroundTruth:
+def _monocomponent_truth(spec: SyntheticSpec, haf_laws) -> GroundTruth:
     t = np.arange(round(spec.duration * spec.fs)) / spec.fs
-    p = spec.params
     comp = _sample_component(
-        t,
-        p.get("b1", _b1_default),
-        p.get("phi1", _phi1_default),
-        p.get("haf_laws", haf_laws),
-        p.get("e", e),
-        p.get("c", {ell: 0.0 for ell in p.get("haf_laws", haf_laws)}),
+        t, _b1_law, _phi1_law, haf_laws, _DENOISE_E, {ell: 0.0 for ell in haf_laws}
     )
     return GroundTruth(components=[comp], mean_offset=0.0, fs=spec.fs)
 
@@ -250,8 +253,8 @@ def _sharp_transition_truth(spec: SyntheticSpec, rng: np.random.Generator) -> Gr
     else:
         t_t = float(p.get("t_t", 0.5 * spec.duration))
         mu, lam = float(p.get("mu", 0.3)), float(p.get("lam", 0.15))
-        mus = p.get("mus", {ell: mu for ell in range(2, r + 1)})
-        lams = p.get("lams", {ell: lam for ell in range(2, r + 1)})
+        mus = {ell: mu for ell in range(2, r + 1)}
+        lams = {ell: lam for ell in range(2, r + 1)}
     if not 0.0 <= t_t <= spec.duration:
         raise ValueError(f"transition time {t_t} outside [0, {spec.duration}]")
 
@@ -262,8 +265,8 @@ def _sharp_transition_truth(spec: SyntheticSpec, rng: np.random.Generator) -> Gr
     t = np.arange(round(spec.duration * spec.fs)) / spec.fs
     comp = _sample_component(
         t,
-        spec.params.get("b1", _b1_default),
-        spec.params.get("phi1", _phi1_default),
+        _b1_law,
+        _phi1_law,
         haf_laws,
         {ell: float(ell) for ell in range(2, r + 1)},
         {ell: 0.0 for ell in range(2, r + 1)},
@@ -285,14 +288,9 @@ def generate(spec: SyntheticSpec, seed: int | None = None) -> tuple[RealSignal, 
     randomized parameters (sharp_transition with draw=True).
     """
     rng = np.random.default_rng(seed)
-    if spec.kind == "tv_reconstruction" or spec.kind == "tv_denoise_s1":
-        truth = _monocomponent_truth(
-            spec, _DENOISE_FAMILIES["tv_denoise_s1"], {2: 2.005, 3: 2.995}
-        )
-    elif spec.kind in _DENOISE_FAMILIES:
-        truth = _monocomponent_truth(
-            spec, _DENOISE_FAMILIES[spec.kind], {2: 2.005, 3: 2.995}
-        )
+    family = "tv_denoise_s1" if spec.kind == "tv_reconstruction" else spec.kind
+    if family in _DENOISE_FAMILIES:
+        truth = _monocomponent_truth(spec, _DENOISE_FAMILIES[family])
     elif spec.kind == "multicomponent":
         truth = _multicomponent_truth(spec)
     elif spec.kind == "sharp_transition":

@@ -111,24 +111,18 @@ def pearson_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
 
-def residual_metrics(
-    residual: RealSignal,
-    estimate: RealSignal,
-    max_lag: int | None = None,
-) -> MetricsReport:
+def residual_metrics(residual: RealSignal, estimate: RealSignal) -> MetricsReport:
     """Residual whiteness and correlation diagnostics.
 
-    ACF with the +-1/sqrt(N) white-noise band, spectral entropy of the
-    residual, and the correlation between residual and estimate.
+    ACF over lags up to 2 s with the +-1/sqrt(N) white-noise band,
+    spectral entropy of the residual, and the correlation between
+    residual and estimate.
     """
     if len(residual) != len(estimate):
         raise ValueError("residual and estimate must have equal lengths")
-    n = len(residual)
-    if max_lag is None:
-        max_lag = min(n - 1, int(2 * residual.fs))
     return MetricsReport(
-        residual_acf=acf(residual.samples, max_lag),
-        acf_conf_band=1.0 / math.sqrt(n),
+        residual_acf=acf(residual.samples, max_lag=int(2 * residual.fs)),
+        acf_conf_band=1.0 / math.sqrt(len(residual)),
         spectral_entropy_bits=spectral_entropy(residual.samples),
         pcc=pearson_correlation(residual.samples, estimate.samples),
     )

@@ -249,23 +249,16 @@ def synthesize(
     return out, J
 
 
-def evaluate_model(
-    model: WaveShapeModel,
-    phi1: np.ndarray,
-    fs: float | None = None,
-    t0: float | None = None,
-) -> RealSignal:
+def evaluate_model(model: WaveShapeModel, phi1: np.ndarray) -> RealSignal:
     """Synthesize the demodulated wave-shape model along a phase track.
 
-    phi1 must be sampled on the same grid the node spans cover; fs/t0
-    default to the model's fundamental reference and node span start.
+    phi1 is sampled at the rate of the model's fundamental reference,
+    starting at the first node time: the grid the node spans cover.
     """
+    if model.fundamental is None:
+        raise ValueError("model has no fundamental reference to take its sampling rate from")
     phi1 = np.asarray(phi1, dtype=float)
-    if fs is None:
-        if model.fundamental is None:
-            raise ValueError("model has no fundamental reference; pass fs explicitly")
-        fs = model.fundamental.fs
-    if t0 is None:
-        t0 = model.harmonics[0].nodes.times[0] if model.harmonics else 0.0
+    fs = model.fundamental.fs
+    t0 = model.harmonics[0].nodes.times[0] if model.harmonics else 0.0
     t = t0 + np.arange(phi1.size) / fs
     return RealSignal(synthesize(model, phi1, t)[0], fs=fs, t0=float(t0))

@@ -21,6 +21,7 @@ import numpy as np
 from .changepoint import pelt_mean_changes
 from .estimate import estimate_node_count, estimate_order, warm_start
 from .extend import (
+    EXTENSION_FACTOR,
     ExtensionResult,
     estimate_cycle_len,
     extend_boundaries,
@@ -31,7 +32,7 @@ from .metrics import MetricsReport, residual_metrics
 from .model import WaveShapeModel, demodulate, evaluate_model, remodulate
 from .pchip import pchip_eval
 from .signals import RealSignal
-from .solver import GRAD_TOL, LAMBDA0, STEP_TOL, FitDiagnostics, FitOptions, fit
+from .solver import GRAD_TOL, LAMBDA0, STEP_TOL, FitDiagnostics, FitOptions, check_field_types, fit
 from .stft import (
     Ridge,
     default_band_halfwidth,
@@ -40,8 +41,6 @@ from .stft import (
     vertical_reconstruct,
 )
 
-
-EXTENSION_FACTOR = 0.1   # forecast samples added per side, as a fraction of the record
 MIN_NODES = 5            # node-budget floor per harmonic
 
 # Config keys of fields that held one value for every caller and are now
@@ -72,6 +71,7 @@ class PipelineConfig:
     fit: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.sigma, self.max_jump_hz) <= 0 or self.r_max < 1:
             raise ValueError("config values must be positive")
         if self.delta is not None and self.delta <= 0:
@@ -201,7 +201,7 @@ def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> De
         return fractional_cycle_len(tail), fractional_cycle_len(head)
 
     c_fwd, c_bwd = _staged(timings, "cycle", local_cycles)
-    ext = _staged(timings, "extend", extend_boundaries, x, c_fwd, EXTENSION_FACTOR, c_bwd)
+    ext = _staged(timings, "extend", extend_boundaries, x, c_fwd, c_bwd)
     xe = ext.extended
 
     spec = _staged(timings, "stft", stft, xe, cfg.sigma)
@@ -209,7 +209,7 @@ def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> De
     x_dem = _staged(timings, "demodulate", demodulate, xe, fund)
     # estimation sub-stages look at the original support only: the
     # extension zones carry forecast/window artifacts by construction
-    core = slice(ext.n_pre, ext.n_pre + len(x))
+    core = ext.core
     x_dem_core = RealSignal(x_dem.samples[core], fs=xe.fs, t0=x.t0)
     r = _staged(timings, "order", estimate_order, x_dem_core, fund.phi1[core], cfg.r_max)
 
@@ -274,9 +274,7 @@ def decompose(x: RealSignal, cfgs: list[PipelineConfig], K: int) -> list[Denoise
     prev_tracks: list[tuple[np.ndarray, float]] = []
     for k in range(K):
         res = denoise(residual, cfgs[k], with_metrics=False)
-        n_pre = res.extension.n_pre
-        n = len(x)
-        core_track = res.ridge.freq[n_pre : n_pre + n]
+        core_track = res.ridge.freq[res.extension.core]
         for track, band in prev_tracks:
             if np.mean(np.abs(core_track - track) < band) > 0.5:
                 warnings.warn(
@@ -314,9 +312,9 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
     """Locate sharp wave-shape transitions from the fitted HAF traces.
 
     Each harmonic amplitude function is sampled on the original support
-    and scanned for mean shifts; the first change per harmonic is kept and
-    their average is the reported transition time. No changes anywhere
-    yields t_hat = None.
+    and scanned for mean shifts (penalty None takes pelt_mean_changes'
+    default); the first change per harmonic is kept and their average is
+    the reported transition time. No changes anywhere yields t_hat = None.
     """
     res = denoise(x, cfg, with_metrics=False)
     model = res.model
@@ -332,13 +330,7 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
     for ell, h in zip(range(2, model.r + 1), model.harmonics):
         trace = pchip_eval(h.nodes.times, h.nodes.amps, t)
         traces[ell] = trace
-        pen = penalty
-        if pen is None:
-            # variance-proportional penalty with a floor at (5% of the
-            # trace level)^2: fit wiggle on a flat HAF stays undetected
-            level = float(np.mean(np.abs(trace)))
-            pen = max(0.1 * t.size * float(np.var(trace)), (0.05 * level) ** 2 * t.size)
-        idx = pelt_mean_changes(trace, pen)
+        idx = pelt_mean_changes(trace, penalty)
         times = [float(t[i]) for i in idx]
         all_changes[ell] = times
         if times:

@@ -15,7 +15,8 @@ central differences on the four intervals a node moves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +31,32 @@ LAMBDA_CAP = 1e16
 GRAD_TOL = 1e-8         # stop when the largest gradient entry is below this
 STEP_TOL = 1e-10        # stop when the step is this small relative to the coefficients
 
+# value types that a config field annotated with the key accepts
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "bool": ((bool, np.bool_), "true or false"),
+}
+
+
+def check_field_types(cfg) -> None:
+    """Raise ValueError naming the first field of the dataclass cfg whose
+    value does not have its annotated type (int, float or bool, each
+    optionally "| None"; the annotations are strings under the module's
+    `from __future__ import annotations`). A bool is never taken for a
+    number."""
+    for f in fields(cfg):
+        kind, _, optional = f.type.partition(" | ")
+        if kind not in _FIELD_TYPES:
+            continue
+        value = getattr(cfg, f.name)
+        if value is None and optional == "None":
+            continue
+        types, what = _FIELD_TYPES[kind]
+        is_bool = isinstance(value, (bool, np.bool_))
+        if not isinstance(value, types) or is_bool != (kind == "bool"):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+
 
 @dataclass
 class FitOptions:
@@ -39,6 +66,7 @@ class FitOptions:
     freeze_nodes: bool = False      # leave node times and amplitudes fixed
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 < self.e_bound < 0.5:
             raise ValueError("e_bound must be in (0, 0.5)")
         if self.max_iters < 1:

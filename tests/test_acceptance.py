@@ -241,15 +241,15 @@ def test_criterion_5_properties():
         + 0.01 * np.random.default_rng(0).standard_normal(n),
         fs,
     )
-    ws = warm_start(sig, phi, r=2, node_counts=[5])
+    ws = warm_start(sig, phi, r=2, node_counts=[5], extension=(0, 0), fundamental=FundamentalEstimate(np.ones(n), phi, fs))
     cols = np.stack([np.cos(2 * np.pi * 2 * phi), np.sin(2 * np.pi * 2 * phi)], axis=1)
     coef, *_ = np.linalg.lstsq(cols, sig.samples - np.cos(2 * np.pi * phi), rcond=None)
     proj = np.cos(2 * np.pi * phi) + cols @ coef
-    assert np.allclose(evaluate_model(ws, phi, fs=fs).samples, proj, atol=1e-10)
+    assert np.allclose(evaluate_model(ws, phi).samples, proj, atol=1e-10)
 
     # extend/trim central-segment bit equality
     sig2 = RealSignal(np.sin(2 * np.pi * 40 * np.arange(2000) / fs), fs)
-    ext = extend_boundaries(sig2, 50, factor=0.1)
+    ext = extend_boundaries(sig2, 50, 50)
     assert np.array_equal(trim(ext.extended, ext).samples, sig2.samples)
 
     # add_noise / snr_out consistency to 1e-9 dB

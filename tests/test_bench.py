@@ -21,6 +21,18 @@ def test_bench_spec_validation(cfg):
         BenchSpec(experiment="tv_denoise_s1", snr_levels=[])
 
 
+def test_bench_spec_rejects_fewer_than_one_job():
+    for n_jobs in (0, -3):
+        with pytest.raises(ValueError, match="n_jobs"):
+            BenchSpec(experiment="tv_denoise_s1", n_jobs=n_jobs)
+
+
+def test_process_pool_returns_the_sequential_result(cfg):
+    # two cells per process; the pool must hand back what the loop computes
+    kw = dict(experiment="segmentation", snr_levels=[10.0, 20.0], n_realizations=2, seed=4, config=cfg)
+    assert run_bench(BenchSpec(n_jobs=2, **kw)) == run_bench(BenchSpec(n_jobs=1, **kw))
+
+
 def test_denoise_bench_deterministic(cfg, tmp_path):
     spec = BenchSpec(
         experiment="tv_denoise_s1", snr_levels=[10.0], n_realizations=2, seed=3, config=cfg

@@ -45,3 +45,20 @@ def test_penalty_controls_sensitivity():
 
 def test_short_input_no_changes():
     assert pelt_mean_changes(np.array([1.0, 2.0])) == []
+
+
+def _old_segment_penalty(z):
+    # the rule segment() applied before it moved into pelt_mean_changes
+    level = float(np.mean(np.abs(z)))
+    return max(0.1 * z.size * float(np.var(z)), (0.05 * level) ** 2 * z.size)
+
+
+def test_default_penalty_is_the_segment_rule():
+    t = np.linspace(0, 1, 2000)
+    traces = [
+        np.concatenate([np.full(700, 0.3), np.full(1300, 0.5)]),
+        0.3 + 0.2 * np.tanh(50 * (t - 0.4)),
+        0.4 + 0.005 * np.sin(2 * np.pi * 1.5 * t),
+    ]
+    for z in traces:
+        assert pelt_mean_changes(z) == pelt_mean_changes(z, penalty=_old_segment_penalty(z))

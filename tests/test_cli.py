@@ -135,6 +135,29 @@ def test_bad_config_file_usage_error(tmp_path, s1_csv, capsys, cfg):
     assert "usage error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cfg, field",
+    [({"r_max": 2.5}, "r_max"), ({"fit": {"max_iters": 2.5}}, "max_iters"), ({"sigma": "1e-4"}, "sigma"),
+     ({"fit": {"freeze_nodes": "false"}}, "freeze_nodes"), ({"r_max": True}, "r_max")],
+)
+def test_config_value_of_the_wrong_type_usage_error(tmp_path, s1_csv, capsys, cfg, field):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["denoise", str(s1_csv), "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+    assert f"usage error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_and_preset_are_exclusive(tmp_path, s1_csv):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"r_max": 4}))
+    out = tmp_path / "out"
+    argv = ["denoise", str(s1_csv), "--config", str(cfg_path), "--preset", "eeg", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--sigma", "-1"], ["--If", "0"], ["--delta", "-2"], ["--rmax", "0"]])
 def test_out_of_range_config_flag_usage_error(tmp_path, s1_csv, capsys, flag):
     out = tmp_path / "out"

@@ -8,8 +8,13 @@ from tvshape import (
     evaluate_model,
     warm_start,
 )
+from tvshape.stft import FundamentalEstimate
 
 FS = 2000.0
+
+
+def _fund(phi1):
+    return FundamentalEstimate(B1=np.ones(len(phi1)), phi1=np.asarray(phi1, dtype=float), fs=FS)
 
 
 def test_node_count_worked_example():
@@ -116,7 +121,7 @@ def test_warm_start_recovers_linear_coefficients():
         + 0.2 * np.sin(2 * np.pi * 2 * phi1),
         FS,
     )
-    m = warm_start(x, phi1, r=2, node_counts=[5])
+    m = warm_start(x, phi1, r=2, node_counts=[5], extension=(0, 0), fundamental=_fund(phi1))
     h = m.harmonics[0]
     assert np.allclose(h.nodes.amps, 0.5, atol=1e-3)
     assert h.c == pytest.approx(0.4, abs=1e-2)
@@ -129,7 +134,7 @@ def test_warm_start_flags_empty_harmonics():
     t = np.arange(n) / FS
     phi1 = 40 * t
     x = RealSignal(np.cos(2 * np.pi * phi1), FS)
-    m = warm_start(x, phi1, r=3, node_counts=[4, 4])
+    m = warm_start(x, phi1, r=3, node_counts=[4, 4], extension=(0, 0), fundamental=_fund(phi1))
     for h in m.harmonics:
         assert abs(h.nodes.amps[0]) < 1e-10
         assert h.degenerate and h.c == 0.0
@@ -150,8 +155,8 @@ def test_warm_start_equals_linear_projection():
         + 0.05 * rng.standard_normal(n),
         FS,
     )
-    m = warm_start(x, phi1, r=3, node_counts=[6, 4])
-    synth = evaluate_model(m, phi1, fs=FS)
+    m = warm_start(x, phi1, r=3, node_counts=[6, 4], extension=(0, 0), fundamental=_fund(phi1))
+    synth = evaluate_model(m, phi1)
     # oracle: explicit least squares on the harmonic design
     cols = []
     for ell in (2, 3):
@@ -169,7 +174,7 @@ def test_warm_start_extension_layout():
     t = t0 + np.arange(n) / FS
     phi1 = 40 * (t - t0)
     x = RealSignal(np.cos(2 * np.pi * phi1) + 0.4 * np.cos(2 * np.pi * 2 * phi1), FS, t0=t0)
-    m = warm_start(x, phi1, r=2, node_counts=[5], extension=(200, 200))
+    m = warm_start(x, phi1, r=2, node_counts=[5], extension=(200, 200), fundamental=_fund(phi1))
     nodes = m.harmonics[0].nodes
     assert len(nodes) == 7  # 5 grid nodes + 2 extension edge nodes
     assert nodes.times[0] == pytest.approx(t0)
@@ -182,6 +187,6 @@ def test_warm_start_extension_layout():
 def test_warm_start_validates_node_counts():
     x = RealSignal(np.zeros(100) + np.cos(np.arange(100.0)), FS)
     with pytest.raises(ValueError):
-        warm_start(x, np.arange(100.0), r=3, node_counts=[4])
+        warm_start(x, np.arange(100.0), r=3, node_counts=[4], extension=(0, 0), fundamental=_fund(np.arange(100.0)))
     with pytest.raises(ValueError):
-        warm_start(x, np.arange(100.0), r=2, node_counts=[1])
+        warm_start(x, np.arange(100.0), r=2, node_counts=[1], extension=(0, 0), fundamental=_fund(np.arange(100.0)))

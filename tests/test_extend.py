@@ -18,20 +18,14 @@ def test_cycle_len_from_acf():
     assert abs(fractional_cycle_len(x) - 50) < 0.5
 
 
-def test_zero_factor_identity():
-    x = _periodic()
-    ext = extend_boundaries(x, 50, factor=0.0)
-    assert ext.n_pre == ext.n_post == 0
-    assert ext.extended is x
-
-
 def test_extension_lengths_and_central_identity():
     x = _periodic()
-    ext = extend_boundaries(x, 50, factor=0.1)
+    ext = extend_boundaries(x, 50, 50)
     assert ext.n_pre == ext.n_post == 200
     assert len(ext.extended) == len(x) + 400
     # bit-exact central segment
     assert np.array_equal(ext.extended.samples[200:-200], x.samples)
+    assert ext.core == slice(ext.n_pre, ext.n_pre + len(x))
     assert ext.extended.t0 == pytest.approx(x.t0 - 200 / FS)
 
 
@@ -41,7 +35,7 @@ def test_periodic_forecast_accuracy():
     t_all = np.arange(n + 200)
     full = np.sin(2 * np.pi * t_all / period) + 0.3 * np.cos(4 * np.pi * t_all / period)
     x = RealSignal(full[:n], FS)
-    ext = extend_boundaries(x, period, factor=0.1)
+    ext = extend_boundaries(x, period, period)
     fwd = ext.extended.samples[-200:]
     rel = np.linalg.norm(fwd - full[n:]) / np.linalg.norm(full[n:])
     assert rel < 0.05
@@ -52,7 +46,7 @@ def test_backward_forecast_accuracy():
     t_all = np.arange(-200, n)
     full = np.sin(2 * np.pi * t_all / period)
     x = RealSignal(full[200:], FS)
-    ext = extend_boundaries(x, period, factor=0.1)
+    ext = extend_boundaries(x, period, period)
     bwd = ext.extended.samples[:200]
     rel = np.linalg.norm(bwd - full[:200]) / np.linalg.norm(full[:200])
     assert rel < 0.05
@@ -60,35 +54,30 @@ def test_backward_forecast_accuracy():
 
 def test_extension_is_deterministic():
     x = _periodic()
-    a = extend_boundaries(x, 50, factor=0.1)
-    b = extend_boundaries(x, 50, factor=0.1)
+    a = extend_boundaries(x, 50, 50)
+    b = extend_boundaries(x, 50, 50)
     assert np.array_equal(a.extended.samples, b.extended.samples)
 
 
 def test_preconditions():
     x = _periodic(n=120)
     with pytest.raises(ValueError):
-        extend_boundaries(x, 3, factor=0.1)  # cycle too short
+        extend_boundaries(x, 3, 3)  # cycle too short
     with pytest.raises(ValueError):
-        extend_boundaries(x, 50, factor=0.1)  # fewer than 3 cycles
-    with pytest.raises(ValueError):
-        extend_boundaries(x, 50, factor=-0.5)
+        extend_boundaries(x, 50, 50)  # fewer than 3 cycles
 
 
 def test_trim_recovers_input():
     x = _periodic()
-    ext = extend_boundaries(x, 50, factor=0.1)
+    ext = extend_boundaries(x, 50, 50)
     back = trim(ext.extended, ext)
     assert np.array_equal(back.samples, x.samples)
     assert back.t0 == pytest.approx(x.t0)
-    # zero-factor extension composes to the identity as well
-    ext0 = extend_boundaries(x, 50, factor=0.0)
-    assert np.array_equal(trim(ext0.extended, ext0).samples, x.samples)
 
 
 def test_trim_length_mismatch():
     x = _periodic()
-    ext = extend_boundaries(x, 50, factor=0.1)
+    ext = extend_boundaries(x, 50, 50)
     with pytest.raises(ValueError):
         trim(x, ext)
 
@@ -101,6 +90,6 @@ def test_fractional_cycle_forecast_beats_integer_mismatch():
     x = RealSignal(full[:n], FS)
     frac = fractional_cycle_len(x)
     assert abs(frac - 44.4) < 0.5
-    ext = extend_boundaries(x, frac, factor=0.1)
+    ext = extend_boundaries(x, frac, frac)
     rel = np.linalg.norm(ext.extended.samples[-200:] - full[n:]) / np.linalg.norm(full[n:])
     assert rel < 0.05

@@ -88,3 +88,12 @@ def test_denoise_families_positive_hafs():
         _, gt = generate(SyntheticSpec(kind))
         for alpha in gt.fundamental.alphas.values():
             assert np.all(alpha > 0)
+
+
+def test_params_a_kind_does_not_read_are_rejected():
+    # the denoise families take no params, sharp_transition only its protocol keys
+    with pytest.raises(ValueError, match="b1"):
+        SyntheticSpec("tv_denoise_s1", params={"b1": lambda t: t})
+    with pytest.raises(ValueError, match="mus"):
+        SyntheticSpec("sharp_transition", params={"mus": {2: 0.3}, "r": 2})
+    SyntheticSpec("sharp_transition", params={"draw": True, "kappa": 5.0, "r": 3, "t_t": 0.5, "mu": 0.3, "lam": 0.1})

@@ -89,12 +89,12 @@ def test_residual_metrics_report():
     rng = np.random.default_rng(1)
     est = _tone()
     resid = RealSignal(rng.standard_normal(2000), 2000.0)
-    rep = residual_metrics(resid, est, max_lag=100)
+    rep = residual_metrics(resid, est)
     assert rep.residual_acf[0] == pytest.approx(1.0)
     assert rep.acf_conf_band == pytest.approx(1 / np.sqrt(2000))
     assert abs(rep.pcc) < 0.1
     # estimate == residual -> pcc exactly 1
-    rep2 = residual_metrics(resid, resid, max_lag=10)
+    rep2 = residual_metrics(resid, resid)
     assert rep2.pcc == pytest.approx(1.0, abs=1e-12)
 
 
@@ -108,6 +108,6 @@ def test_residual_metrics_zero_variance_rejected():
 def test_metrics_report_json():
     est = _tone()
     resid = RealSignal(np.random.default_rng(2).standard_normal(2000), 2000.0)
-    rep = residual_metrics(resid, est, max_lag=5)
+    rep = residual_metrics(resid, est)
     text = rep.to_json()
     assert '"pcc"' in text and '"spectral_entropy_bits"' in text

@@ -117,6 +117,33 @@ def test_config_unknown_keys_rejected():
         PipelineConfig.from_dict({"fit": {"max_iter": 3}})
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"r_max": 2.5}, "r_max"), ({"r_max": True}, "r_max"), ({"sigma": "1e-4"}, "sigma"),
+     ({"max_jump_hz": False}, "max_jump_hz"), ({"delta": "0.4"}, "delta")],
+)
+def test_config_rejects_values_of_the_wrong_type(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        PipelineConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"max_iters": 2.5}, "max_iters"), ({"max_iters": True}, "max_iters"),
+     ({"freeze_nodes": "false"}, "freeze_nodes"), ({"freeze_nodes": 0}, "freeze_nodes"),
+     ({"e_bound": True}, "e_bound"), ({"min_node_gap": "1e-3"}, "min_node_gap")],
+)
+def test_fit_options_reject_values_of_the_wrong_type(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        FitOptions(**kwargs)
+
+
+def test_config_types_accept_numpy_scalars_and_none():
+    cfg = PipelineConfig(sigma=np.float64(1e-4), r_max=np.int64(3), delta=None,
+                         fit=FitOptions(max_iters=np.int32(5), min_node_gap=None, freeze_nodes=np.True_))
+    assert cfg.r_max == 3 and cfg.fit.freeze_nodes
+
+
 def test_noiseless_reconstruction_snr(noiseless_result):
     x, _, res = noiseless_result
     assert snr_out(x, res.reconstruction) >= 30.0
