@@ -6,6 +6,10 @@ convention so the phase at a ridge tracks the component's own phase. The
 discrete vertical-reconstruction sum is normalized so that summing every
 bin inverts the transform exactly: x(n) = Re[(1/nfft) * sum_k w_k F(n,k)]
 with w = 2 on interior bins and 1 at DC/Nyquist (the window peak g(0) is 1).
+
+The frequency grid is capped: nfft covers the record only up to
+GRID_WINDOWS truncated windows, so beyond that length the spectrogram's
+memory and FFT time grow linearly in the number of samples.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 from .signals import RealSignal
 
 WINDOW_TRUNCATION = 1e-8
+GRID_WINDOWS = 4               # nfft stops growing with N past this many windows
 BLOCK_ELEMENTS = 4_000_000     # spectrogram entries handled per block of frames
 
 
@@ -63,18 +68,31 @@ def default_band_halfwidth(sigma: float, fs: float) -> float:
     return float(np.sqrt(np.log(1e3) * sigma) / np.pi * fs)
 
 
+def fft_length(n_samples: int, window_length: int) -> int:
+    """FFT length of the STFT of an n_samples record with a window_length window.
+
+    The next power of two covering max(L, min(N, GRID_WINDOWS * L)): the
+    grid refines with the record up to GRID_WINDOWS windows and is fixed by
+    the window beyond, so the (N, nfft/2+1) spectrogram grows linearly in N.
+    nfft >= L lets each windowed frame wrap into the FFT buffer without
+    overlapping itself.
+    """
+    need = max(window_length, min(n_samples, GRID_WINDOWS * window_length))
+    return 1 << int(np.ceil(np.log2(need)))
+
+
 def stft(x: RealSignal, sigma: float) -> Spectrogram:
     """Per-sample-hop Gaussian-window STFT with one-sided frequency axis.
 
-    The FFT length is the next power of two covering both the signal and
-    the truncated window.
+    The FFT length is `fft_length(N, 2*half + 1)`: it follows the record up
+    to GRID_WINDOWS truncated windows and is fixed by the window beyond, so
+    memory and FFT time are linear in N.
     """
     g, half = gaussian_window(sigma)
     if 2 * half + 1 < 8:
         raise ValueError(f"sigma={sigma} leaves a window under 8 samples")
     N = len(x)
-    need = max(N, 2 * half + 1)
-    nfft = 1 << int(np.ceil(np.log2(need)))
+    nfft = fft_length(N, 2 * half + 1)
 
     padded = np.concatenate([np.zeros(half), x.samples, np.zeros(half)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)

@@ -11,6 +11,7 @@ from tvshape import (
     estimate_fundamental,
     extract_ridge,
     generate,
+    preset,
     snr_out,
     stft,
     threshold_denoise,
@@ -18,6 +19,7 @@ from tvshape import (
 )
 from tvshape.stft import (
     Spectrogram,
+    fft_length,
     full_band_resynthesis,
     gaussian_window,
     noise_sigma_estimate,
@@ -147,6 +149,73 @@ def test_ridge_matches_full_magnitude_search(monkeypatch, block):
     ridge = extract_ridge(tied, 2.0)
     assert ridge.freq[1] == 3.0
     assert np.array_equal(ridge.freq, _reference_ridge(tied, 2.0))
+
+
+def _uncapped_fft_length(n, window_length):
+    """The FFT length before the grid cap: the power of two covering record and window."""
+    return 1 << int(np.ceil(np.log2(max(n, window_length))))
+
+
+SMALL_SPEC_BYTES = 64 * 2**20   # build real spectrograms only up to this size
+
+
+@pytest.mark.parametrize("name", ["synthetic", "eeg", "ip", "ecg"])
+def test_fft_length_follows_record_up_to_grid_cap(name):
+    sigma = preset(name).sigma
+    _, half = gaussian_window(sigma)
+    L = 2 * half + 1
+    cap = stft_module.GRID_WINDOWS * L
+    capped = fft_length(cap + 1, L)
+    assert capped >= L
+    for n in (L // 3, L - 1, L, L + 1, 2 * L, cap - 1, cap, cap + 1, 6 * L, 10 * L):
+        nfft = fft_length(n, L)
+        assert nfft == (_uncapped_fft_length(n, L) if n <= cap else capped)
+        # the preset windows make ten-window spectrograms gigabytes, so the
+        # stft itself is built only where it stays small
+        if n * (nfft // 2 + 1) * 16 <= SMALL_SPEC_BYTES:
+            assert stft(RealSignal(np.zeros(n), FS), sigma).nfft == nfft
+
+
+def test_spectrogram_bytes_linear_in_record_above_grid_cap():
+    sigma = 1e-2    # an 85-sample window keeps ten-window records cheap
+    _, half = gaussian_window(sigma)
+    L = 2 * half + 1
+    cap = stft_module.GRID_WINDOWS * L
+    rng = np.random.default_rng(0)
+    sizes = [cap + 1, 5 * L, 8 * L, 10 * L]
+    specs = [stft(RealSignal(rng.standard_normal(n), FS), sigma) for n in sizes]
+    assert {spec.nfft for spec in specs} == {fft_length(cap, L)}
+    per_sample = specs[0].values.nbytes // sizes[0]
+    assert [spec.values.nbytes for spec in specs] == [per_sample * n for n in sizes]
+
+
+@pytest.fixture(scope="module")
+def long_chirp():
+    """A 4 s linear chirp, 40 -> 80 Hz: more than four synthetic-preset windows long."""
+    t = np.arange(int(4 * FS)) / FS
+    x = RealSignal(np.cos(2 * np.pi * (40 * t + 5 * t**2)), FS)
+    return x, stft(x, SIGMA)
+
+
+def test_long_record_full_band_inversion(long_chirp):
+    x, spec = long_chirp
+    assert spec.nfft < len(x)      # the grid cap applies
+    rec = full_band_resynthesis(spec)
+    assert np.linalg.norm(rec - x.samples) / np.linalg.norm(x.samples) < 1e-12
+
+
+def test_long_record_ridge_tracks_chirp(long_chirp):
+    x, spec = long_chirp
+    ridge = extract_ridge(spec, max_jump_hz=2.0)
+    true_if = 40 + 10 * x.times()
+    sl = _interior(spec)
+    assert np.max(np.abs(ridge.freq[sl] - true_if[sl])) <= 2 * spec.bin_width
+
+
+def test_long_record_keeps_extended_one_second_bin_width(long_chirp):
+    _, spec = long_chirp
+    # a 1 s record extended by 10% per side (2400 samples) has the same grid
+    assert spec.bin_width == FS / fft_length(2400, 2 * spec.window_halfwidth + 1) == FS / 4096
 
 
 def test_vertical_reconstruct_amplitude_and_phase():
