@@ -5,6 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_penalty(penalty: float | None) -> None:
+    """Raise ValueError unless penalty is None or a number >= 0."""
+    if penalty is not None and not penalty >= 0:
+        raise ValueError(f"penalty must be a number >= 0, got {penalty}")
+
+
 def pelt_mean_changes(z: np.ndarray, penalty: float | None = None) -> list[int]:
     """Indices where the mean of z shifts, by penalized exact search.
 
@@ -13,8 +19,10 @@ def pelt_mean_changes(z: np.ndarray, penalty: float | None = None) -> list[int]:
     The default penalty, a tenth of the zero-change cost with a floor at
     (5% of the trace level)^2 per sample, admits a dominant level shift
     while rejecting the smooth wiggles of an interpolated trace and the
-    fit wiggle on a flat one (a constant trace yields no changes).
+    fit wiggle on a flat one (a constant trace yields no changes). A
+    negative or NaN penalty raises ValueError; a penalty of 0 is allowed.
     """
+    check_penalty(penalty)
     z = np.asarray(z, dtype=float)
     n = z.size
     if n < 4:
@@ -22,7 +30,7 @@ def pelt_mean_changes(z: np.ndarray, penalty: float | None = None) -> list[int]:
     if penalty is None:
         level = float(np.mean(np.abs(z)))
         penalty = max(0.1 * n * float(np.var(z)), (0.05 * level) ** 2 * n)
-    if penalty <= 0:
+    if penalty == 0:
         penalty = 1e-12 * max(float(np.abs(z).max()) ** 2, 1.0)
 
     s1 = np.concatenate([[0.0], np.cumsum(z)])

@@ -14,7 +14,7 @@ scored exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -73,48 +73,23 @@ class GroundTruth:
         return total
 
     def to_json(self) -> str:
-        def comp_dict(comp: ComponentTruth) -> dict:
-            return {
-                "b1": comp.b1.tolist(),
-                "phi1": comp.phi1.tolist(),
-                "alphas": {str(k): v.tolist() for k, v in comp.alphas.items()},
-                "e": {str(k): v for k, v in comp.e.items()},
-                "c": {str(k): v for k, v in comp.c.items()},
-                "clean": comp.clean.tolist(),
-            }
-
-        return json.dumps(
-            {
-                "components": [comp_dict(c) for c in self.components],
-                "mean_offset": self.mean_offset,
-                "fs": self.fs,
-                "t_transition": self.t_transition,
-                "extras": self.extras,
-            }
-        )
+        return json.dumps(asdict(self), default=np.ndarray.tolist)
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
         raw = json.loads(text)
-        comps = []
-        for c in raw["components"]:
-            comps.append(
-                ComponentTruth(
-                    b1=np.asarray(c["b1"]),
-                    phi1=np.asarray(c["phi1"]),
-                    alphas={int(k): np.asarray(v) for k, v in c["alphas"].items()},
-                    e={int(k): float(v) for k, v in c["e"].items()},
-                    c={int(k): float(v) for k, v in c["c"].items()},
-                    clean=np.asarray(c["clean"]),
-                )
+        raw["components"] = [
+            ComponentTruth(
+                b1=np.asarray(c["b1"]),
+                phi1=np.asarray(c["phi1"]),
+                alphas={int(k): np.asarray(v) for k, v in c["alphas"].items()},
+                e={int(k): float(v) for k, v in c["e"].items()},
+                c={int(k): float(v) for k, v in c["c"].items()},
+                clean=np.asarray(c["clean"]),
             )
-        return cls(
-            components=comps,
-            mean_offset=raw["mean_offset"],
-            fs=raw["fs"],
-            t_transition=raw["t_transition"],
-            extras=raw.get("extras", {}),
-        )
+            for c in raw["components"]
+        ]
+        return cls(**raw)
 
 
 _TRANSITION_PARAMS = {"draw", "kappa", "r", "t_t", "mu", "lam"}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,14 +19,7 @@ class MetricsReport:
     pcc: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "residual_acf": self.residual_acf.tolist(),
-                "acf_conf_band": self.acf_conf_band,
-                "spectral_entropy_bits": self.spectral_entropy_bits,
-                "pcc": self.pcc,
-            }
-        )
+        return json.dumps(asdict(self), default=np.ndarray.tolist)
 
 
 def add_noise(x: RealSignal, snr_in_db: float, seed: int) -> RealSignal:

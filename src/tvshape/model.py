@@ -48,10 +48,6 @@ class HafNodes:
     def copy(self) -> "HafNodes":
         return HafNodes(self.times.copy(), self.amps.copy())
 
-    def evaluate(self, query_times: np.ndarray) -> np.ndarray:
-        """Shape-preserving cubic through the nodes at the query times."""
-        return pchip_eval(self.times, self.amps, query_times)
-
 
 @dataclass
 class HarmonicModel:
@@ -141,29 +137,29 @@ class WaveShapeModel:
         return out
 
     # -- serialization -----------------------------------------------------
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON layout: each harmonic's nodes as a list of {t, a} pairs."""
         f = self.fundamental
-        return json.dumps(
-            {
-                "r": self.r,
-                "harmonics": [
-                    {
-                        "e": h.e,
-                        "c": h.c,
-                        "degenerate": h.degenerate,
-                        "nodes": [
-                            {"t": float(t), "a": float(a)}
-                            for t, a in zip(h.nodes.times, h.nodes.amps)
-                        ],
-                    }
-                    for h in self.harmonics
-                ],
-                "extension_map": list(self.extension_map),
-                "fundamental": None if f is None else {
-                    "B1": f.B1.tolist(), "phi1": f.phi1.tolist(), "fs": float(f.fs)
-                },
-            }
-        )
+        return {
+            "r": self.r,
+            "harmonics": [
+                {
+                    "e": h.e,
+                    "c": h.c,
+                    "degenerate": h.degenerate,
+                    "nodes": [{"t": t, "a": a}
+                              for t, a in zip(h.nodes.times.tolist(), h.nodes.amps.tolist())],
+                }
+                for h in self.harmonics
+            ],
+            "extension_map": list(self.extension_map),
+            "fundamental": None if f is None else {
+                "B1": f.B1.tolist(), "phi1": f.phi1.tolist(), "fs": float(f.fs)
+            },
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "WaveShapeModel":

@@ -14,11 +14,11 @@ import hashlib
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .changepoint import pelt_mean_changes
+from .changepoint import check_penalty, pelt_mean_changes
 from .estimate import estimate_node_count, estimate_order, warm_start
 from .extend import (
     EXTENSION_FACTOR,
@@ -59,6 +59,9 @@ RETIRED_KEYS = {
     "fit.step_tol": STEP_TOL,
 }
 
+# The config key of each PipelineConfig field whose key is not its name.
+CONFIG_KEYS = {"max_jump_hz": "I_f"}
+
 
 @dataclass
 class PipelineConfig:
@@ -81,18 +84,7 @@ class PipelineConfig:
         return self.delta if self.delta is not None else default_band_halfwidth(self.sigma, fs)
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "I_f": self.max_jump_hz,
-            "delta": self.delta,
-            "r_max": self.r_max,
-            "fit": {
-                "max_iters": self.fit.max_iters,
-                "e_bound": self.fit.e_bound,
-                "min_node_gap": self.fit.min_node_gap,
-                "freeze_nodes": self.fit.freeze_nodes,
-            },
-        }
+        return {CONFIG_KEYS.get(k, k): v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -106,14 +98,10 @@ class PipelineConfig:
         unknown = sorted(keys.keys() - RETIRED_KEYS.keys() - _dotted(cls().to_dict()).keys())
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        field_names = {key: name for name, key in CONFIG_KEYS.items()}
+        top = {field_names.get(k, k): v for k, v in d.items() if k != "fit" and k not in RETIRED_KEYS}
         fit_d = {k: v for k, v in d.get("fit", {}).items() if f"fit.{k}" not in RETIRED_KEYS}
-        return cls(
-            sigma=d.get("sigma", 1e-4),
-            max_jump_hz=d.get("I_f", 2.0),
-            delta=d.get("delta"),
-            r_max=d.get("r_max", 8),
-            fit=FitOptions(**fit_d),
-        )
+        return cls(**top, fit=FitOptions(**fit_d))
 
 
 def _dotted(d: dict) -> dict:
@@ -168,11 +156,12 @@ class DenoiseResult:
             {
                 "input": {"sha256_16": digest, "n": len(x), "fs": x.fs},
                 "config": cfg.to_dict(),
-                "model": json.loads(self.model.to_json()),
-                "metrics": None if self.metrics is None else json.loads(self.metrics.to_json()),
-                "fit": json.loads(self.fit_diagnostics.to_json()),
+                "model": self.model.to_dict(),
+                "metrics": None if self.metrics is None else asdict(self.metrics),
+                "fit": asdict(self.fit_diagnostics),
                 "timings": self.timings,
-            }
+            },
+            default=np.ndarray.tolist,
         )
 
 
@@ -316,6 +305,7 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
     default); the first change per harmonic is kept and their average is
     the reported transition time. No changes anywhere yields t_hat = None.
     """
+    check_penalty(penalty)      # a bad penalty fails at once, not after the fit
     res = denoise(x, cfg, with_metrics=False)
     model = res.model
     if model.r < 2:

@@ -23,8 +23,8 @@ class RealSignal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
-        if self.fs <= 0:
-            raise ValueError(f"fs must be positive, got {self.fs}")
+        if not 0 < self.fs < np.inf:
+            raise ValueError(f"fs must be finite and positive, got {self.fs}")
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("signal needs at least 2 samples in a 1-d array")
         if not np.all(np.isfinite(samples)):
@@ -82,7 +82,7 @@ def read_signal_csv(path_or_buf, fs: float | None = None) -> RealSignal:
     if np.any(dt <= 0):
         raise ValueError("time column must be strictly increasing")
     fs_inferred = 1.0 / float(np.median(dt))
-    if fs is not None and abs(fs - fs_inferred) > 1e-6 * fs_inferred:
+    if fs is not None and not abs(fs - fs_inferred) <= 1e-6 * fs_inferred:
         raise ValueError(
             f"supplied fs={fs} disagrees with time column ({fs_inferred:.6g})"
         )

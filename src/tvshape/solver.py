@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -44,7 +44,8 @@ def check_field_types(cfg) -> None:
     value does not have its annotated type (int, float or bool, each
     optionally "| None"; the annotations are strings under the module's
     `from __future__ import annotations`). A bool is never taken for a
-    number."""
+    number, and a float must be finite. An accepted numpy scalar is stored
+    as the Python value it holds, so the config writes as JSON."""
     for f in fields(cfg):
         kind, _, optional = f.type.partition(" | ")
         if kind not in _FIELD_TYPES:
@@ -56,6 +57,10 @@ def check_field_types(cfg) -> None:
         is_bool = isinstance(value, (bool, np.bool_))
         if not isinstance(value, types) or is_bool != (kind == "bool"):
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if kind == "float" and not -np.inf < value < np.inf:
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if isinstance(value, np.generic):
+            setattr(cfg, f.name, value.item())
 
 
 @dataclass
@@ -83,14 +88,7 @@ class FitDiagnostics:
     final_rss: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iterations": self.iterations,
-                "rss_trace": self.rss_trace,
-                "converged_by": self.converged_by,
-                "final_rss": self.final_rss,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 class FitError(RuntimeError):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tvshape import pelt_mean_changes
 
@@ -41,6 +42,18 @@ def test_penalty_controls_sensitivity():
     z = 0.3 + 0.2 * np.tanh(50 * (t - 0.5))
     assert pelt_mean_changes(z, penalty=1e9) == []
     assert len(pelt_mean_changes(z, penalty=1e-6)) >= 1
+
+
+@pytest.mark.parametrize("penalty", [-5.0, -1e-12, float("nan")])
+def test_negative_or_nan_penalty_rejected(penalty):
+    z = np.concatenate([np.zeros(50), np.ones(50)])
+    with pytest.raises(ValueError, match="penalty"):
+        pelt_mean_changes(z, penalty=penalty)
+
+
+def test_zero_penalty_allowed():
+    z = np.concatenate([np.zeros(50), np.ones(50)])
+    assert 50 in pelt_mean_changes(z, penalty=0.0)
 
 
 def test_short_input_no_changes():

@@ -138,7 +138,9 @@ def test_bad_config_file_usage_error(tmp_path, s1_csv, capsys, cfg):
 @pytest.mark.parametrize(
     "cfg, field",
     [({"r_max": 2.5}, "r_max"), ({"fit": {"max_iters": 2.5}}, "max_iters"), ({"sigma": "1e-4"}, "sigma"),
-     ({"fit": {"freeze_nodes": "false"}}, "freeze_nodes"), ({"r_max": True}, "r_max")],
+     ({"fit": {"freeze_nodes": "false"}}, "freeze_nodes"), ({"r_max": True}, "r_max"),
+     # json.dumps writes NaN, which Python's json reads back
+     ({"sigma": float("nan")}, "sigma"), ({"fit": {"min_node_gap": float("inf")}}, "min_node_gap")],
 )
 def test_config_value_of_the_wrong_type_usage_error(tmp_path, s1_csv, capsys, cfg, field):
     cfg_path = tmp_path / "bad.json"
@@ -158,11 +160,41 @@ def test_config_and_preset_are_exclusive(tmp_path, s1_csv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [["--sigma", "-1"], ["--If", "0"], ["--delta", "-2"], ["--rmax", "0"]])
+@pytest.mark.parametrize(
+    "flag",
+    [["--sigma", "-1"], ["--If", "0"], ["--delta", "-2"], ["--rmax", "0"], ["--delta", "nan"],
+     ["--sigma", "nan"], ["--If", "nan"], ["--sigma", "inf"], ["--delta", "inf"]],
+)
 def test_out_of_range_config_flag_usage_error(tmp_path, s1_csv, capsys, flag):
     out = tmp_path / "out"
     assert main(["denoise", str(s1_csv), "--preset", "synthetic", *flag, "--out", str(out)]) == EXIT_USAGE
     assert "usage error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def s1_single_column_csv(tmp_path_factory, s1_csv):
+    path = tmp_path_factory.mktemp("cli1") / "s1_values.csv"
+    path.write_text("\n".join(map(repr, read_signal_csv(s1_csv).samples.tolist())))
+    return path
+
+
+@pytest.mark.parametrize("fs", ["nan", "inf"])
+@pytest.mark.parametrize("single_column", [True, False])
+def test_non_finite_fs_usage_error(tmp_path, s1_csv, s1_single_column_csv, capsys, fs, single_column):
+    src = s1_single_column_csv if single_column else s1_csv
+    assert len(read_signal_csv(src, fs=2000.0)) == 2000
+    out = tmp_path / "out"
+    assert main(["denoise", str(src), "--fs", fs, "--out", str(out)]) == EXIT_USAGE
+    assert "usage error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("penalty", ["-5", "nan"])
+def test_bad_penalty_usage_error(tmp_path, s1_csv, capsys, penalty):
+    out = tmp_path / "out"
+    assert main(["segment", str(s1_csv), "--penalty", penalty, "--out", str(out)]) == EXIT_USAGE
+    assert "usage error: penalty must be a number >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tvshape import GroundTruth, SyntheticSpec, generate
-from tvshape.generators import ComponentTruth
+from tvshape.generators import KINDS, ComponentTruth
 
 
 def test_reconstruction_value_at_zero(recon_signal):
@@ -81,6 +81,18 @@ def test_ground_truth_json_roundtrip(recon_signal):
     assert np.allclose(back.fundamental.b1, gt.fundamental.b1)
     assert back.fundamental.e == gt.fundamental.e
     assert back.mean_offset == gt.mean_offset
+
+
+@pytest.mark.parametrize(
+    "spec", [SyntheticSpec(kind) for kind in KINDS] + [SyntheticSpec("sharp_transition", params={"draw": True})],
+    ids=[*KINDS, "sharp_transition_drawn"],
+)
+def test_ground_truth_json_roundtrip_is_byte_identical(spec):
+    _, gt = generate(spec, seed=3)
+    text = gt.to_json()
+    back = GroundTruth.from_json(text)
+    assert back.to_json() == text
+    assert back.t_transition == gt.t_transition and back.extras == gt.extras
 
 
 def test_denoise_families_positive_hafs():

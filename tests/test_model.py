@@ -46,14 +46,6 @@ def test_nodes_validation():
         HafNodes(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
 
-def test_nodes_evaluate_delegates_to_interpolator():
-    nodes = HafNodes(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
-    q = np.linspace(0, 1, 21)
-    assert np.allclose(nodes.evaluate(q), pchip_eval(nodes.times, nodes.amps, q))
-    with pytest.raises(ValueError):
-        nodes.evaluate(np.array([1.5]))
-
-
 def test_flatten_roundtrip_bit_exact(rng):
     m = _model(r=4, n_nodes=6)
     for h in m.harmonics:

@@ -120,7 +120,9 @@ def test_config_unknown_keys_rejected():
 @pytest.mark.parametrize(
     "kwargs, field",
     [({"r_max": 2.5}, "r_max"), ({"r_max": True}, "r_max"), ({"sigma": "1e-4"}, "sigma"),
-     ({"max_jump_hz": False}, "max_jump_hz"), ({"delta": "0.4"}, "delta")],
+     ({"max_jump_hz": False}, "max_jump_hz"), ({"delta": "0.4"}, "delta"),
+     ({"sigma": np.nan}, "sigma"), ({"max_jump_hz": np.inf}, "max_jump_hz"), ({"delta": np.inf}, "delta"),
+     ({"sigma": np.float64("nan")}, "sigma")],
 )
 def test_config_rejects_values_of_the_wrong_type(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -131,7 +133,8 @@ def test_config_rejects_values_of_the_wrong_type(kwargs, field):
     "kwargs, field",
     [({"max_iters": 2.5}, "max_iters"), ({"max_iters": True}, "max_iters"),
      ({"freeze_nodes": "false"}, "freeze_nodes"), ({"freeze_nodes": 0}, "freeze_nodes"),
-     ({"e_bound": True}, "e_bound"), ({"min_node_gap": "1e-3"}, "min_node_gap")],
+     ({"e_bound": True}, "e_bound"), ({"min_node_gap": "1e-3"}, "min_node_gap"),
+     ({"min_node_gap": np.inf}, "min_node_gap")],
 )
 def test_fit_options_reject_values_of_the_wrong_type(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -142,6 +145,15 @@ def test_config_types_accept_numpy_scalars_and_none():
     cfg = PipelineConfig(sigma=np.float64(1e-4), r_max=np.int64(3), delta=None,
                          fit=FitOptions(max_iters=np.int32(5), min_node_gap=None, freeze_nodes=np.True_))
     assert cfg.r_max == 3 and cfg.fit.freeze_nodes
+    # stored as Python numbers, so the config writes as JSON and reads back equal
+    assert type(cfg.r_max) is int and type(cfg.sigma) is float and cfg.fit.freeze_nodes is True
+    assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_config_defaults_live_in_the_dataclass():
+    assert PipelineConfig.from_dict({}) == PipelineConfig()
+    assert PipelineConfig.from_dict({"fit": {}}) == PipelineConfig()
+    assert PipelineConfig.from_dict({"r_max": 4}) == PipelineConfig(r_max=4)
 
 
 def test_noiseless_reconstruction_snr(noiseless_result):
@@ -178,6 +190,15 @@ def test_report_json(noiseless_result, cfg):
     assert report["input"]["n"] == len(x)
     assert "timings" in report and "fit" in report
     assert report["config"]["sigma"] == cfg.sigma
+
+
+def test_report_json_nests_each_part_as_written_alone(noiseless_result, cfg):
+    x, _, res = noiseless_result
+    report = json.loads(res.report_json(x, cfg))
+    assert report["model"] == json.loads(res.model.to_json())
+    assert report["metrics"] == json.loads(res.metrics.to_json())
+    assert report["fit"] == json.loads(res.fit_diagnostics.to_json())
+    assert report["config"] == cfg.to_dict()
 
 
 def test_denoise_beats_linear_baseline_at_20db(cfg):
@@ -238,6 +259,19 @@ def test_segmentation_json(cfg):
     res = segment(add_noise(x, 15.0, 4), cfg)
     raw = json.loads(res.to_json())
     assert "t_hat" in raw and "per_harmonic" in raw
+
+
+@pytest.mark.parametrize("penalty", [-5.0, float("nan")])
+def test_segment_checks_the_penalty_before_fitting(cfg, monkeypatch, penalty):
+    import tvshape.pipeline
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran before the penalty was checked")
+
+    monkeypatch.setattr(tvshape.pipeline, "denoise", no_fit)
+    x, _ = generate(SyntheticSpec("sharp_transition"))
+    with pytest.raises(ValueError, match="penalty must be a number >= 0"):
+        segment(x, cfg, penalty=penalty)
 
 
 def test_pipeline_deterministic(cfg):

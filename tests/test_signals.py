@@ -15,6 +15,14 @@ def test_validation():
         RealSignal(np.array([1.0, np.nan]), fs=10.0)
 
 
+@pytest.mark.parametrize("fs", [float("nan"), float("inf"), -10.0])
+def test_fs_must_be_finite_and_positive(fs):
+    with pytest.raises(ValueError, match="fs must be finite and positive"):
+        RealSignal(np.array([1.0, 2.0]), fs=fs)
+    with pytest.raises(ValueError):
+        read_signal_csv(io.StringIO("0,1\n0.1,2\n0.2,3\n"), fs=fs)
+
+
 def test_times_and_duration():
     s = RealSignal(np.zeros(10), fs=5.0, t0=1.0)
     assert s.duration == 2.0
