@@ -19,8 +19,9 @@ from .bench import EXPERIMENTS, BenchSpec, run_bench, write_bench_outputs
 from .generators import KINDS, SyntheticSpec, generate
 from .metrics import add_noise
 from .model import WaveShapeModel, evaluate_model, remodulate
-from .pipeline import PRESETS, PipelineConfig, decompose, denoise, preset, segment
+from .pipeline import PRESETS, PipelineConfig, PipelineStageError, decompose, denoise, preset, segment
 from .signals import read_signal_csv, write_signal_csv
+from .stft import ResolutionError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -215,8 +216,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - surface any stage failure
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        # a flag the record's STFT cannot honour is a usage error too
+        usage = isinstance(exc, PipelineStageError) and isinstance(exc.cause, ResolutionError)
+        print(f"{'usage error' if usage else 'error'}: {exc}", file=sys.stderr)
+        return EXIT_USAGE if usage else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .metrics import MetricsReport, residual_metrics
 from .model import WaveShapeModel, demodulate, evaluate_model, remodulate
 from .pchip import pchip_eval
 from .signals import RealSignal
-from .solver import GRAD_TOL, LAMBDA0, STEP_TOL, FitDiagnostics, FitOptions, check_field_types, fit
+from .solver import LAMBDA0, STEP_TOL, FitDiagnostics, FitOptions, check_field_types, fit
 from .stft import (
     Ridge,
     default_band_halfwidth,
@@ -55,7 +55,7 @@ RETIRED_KEYS = {
     "r_override": None,
     "fit.jacobian": "analytic_mixed",
     "fit.lambda0": LAMBDA0,
-    "fit.grad_tol": GRAD_TOL,
+    "fit.grad_tol": 1e-8,
     "fit.step_tol": STEP_TOL,
 }
 

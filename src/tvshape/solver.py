@@ -10,6 +10,15 @@ The model and its jacobian come from `model.synthesize`, the one place
 the wave-shape formula is written: node amplitudes, quadrature
 coefficients and phase ratios get analytic columns, free node times
 central differences on the four intervals a node moves.
+
+The fit stops at the first of three tests. After an accepted step, MINPACK's
+relative-reduction test (Moré 1978): the actual and the predicted relative
+RSS reductions are both at most FTOL and the actual is at most twice the
+predicted. The prediction is the linearized model's along the projected
+step, the one the fit took, not along the step the normal equations
+proposed: a coefficient held at its box edge would otherwise keep the
+prediction far above the actual reduction. A proposed step below STEP_TOL
+relative to the coefficients also stops it, and so does `max_iters`.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .signals import RealSignal
 
 LAMBDA0 = 1e-3          # initial damping
 LAMBDA_CAP = 1e16
-GRAD_TOL = 1e-8         # stop when the largest gradient entry is below this
+FTOL = 1e-6             # stop when actual and predicted relative RSS reductions are below this
 STEP_TOL = 1e-10        # stop when the step is this small relative to the coefficients
 
 # value types that a config field annotated with the key accepts
@@ -84,7 +93,7 @@ class FitOptions:
 class FitDiagnostics:
     iterations: int
     rss_trace: list[float]
-    converged_by: str               # gradient | step | max_iters
+    converged_by: str               # ftol | step | max_iters; empty: nothing to fit
     final_rss: float
 
     def to_json(self) -> str:
@@ -202,7 +211,7 @@ def fit(
 
     free = ctx.free_index()
     if gamma.size == 0:
-        diag = FitDiagnostics(0, trace, "gradient", rss)
+        diag = FitDiagnostics(0, trace, "empty", rss)
         return ctx.template.unflatten(gamma), diag
 
     lam = LAMBDA0
@@ -212,9 +221,6 @@ def fit(
         resid, J = residual_and_jacobian(gamma, ctx)
         Jf = J[:, free]
         grad = Jf.T @ resid
-        if np.max(np.abs(grad)) < GRAD_TOL:
-            converged_by = "gradient"
-            break
         A = Jf.T @ Jf
         D = np.maximum(np.diag(A), 1e-12 * max(np.max(np.diag(A)), 1.0))
 
@@ -234,6 +240,12 @@ def fit(
                 r_t = ctx.target - ctx.synthesize(trial)
                 rss_t = float(r_t @ r_t) if np.all(np.isfinite(r_t)) else np.inf
                 if rss_t < rss:
+                    # reductions relative to rss; the prediction is the linear
+                    # model's along the projected step, the one actually taken
+                    s = (trial - gamma)[free]
+                    Js = Jf @ s
+                    actual = (rss - rss_t) / rss
+                    predicted = -(2.0 * (s @ grad) + Js @ Js) / rss
                     gamma, resid, rss = trial, r_t, rss_t
                     trace.append(rss)
                     lam = max(lam / 10.0, 1e-14)
@@ -244,6 +256,9 @@ def fit(
                 diag = FitDiagnostics(iterations, trace, "max_iters", rss)
                 raise FitError("normal system stayed singular at maximum damping", diag)
         if not accepted:
+            break
+        if actual <= FTOL and predicted <= FTOL and actual <= 2.0 * predicted:
+            converged_by = "ftol"
             break
 
     diag = FitDiagnostics(iterations, trace, converged_by, rss)

@@ -26,6 +26,13 @@ GRID_WINDOWS = 4               # nfft stops growing with N past this many window
 BLOCK_ELEMENTS = 4_000_000     # spectrogram entries handled per block of frames
 
 
+class ResolutionError(ValueError):
+    """A parameter the record's STFT cannot honour: the window is too short
+    or the ridge's frequency step falls below one bin. The bin width is
+    fs/nfft, so the message names the parameter, its value, the record's
+    sampling rate and which way to move the parameter."""
+
+
 @dataclass
 class Spectrogram:
     """Complex STFT matrix indexed [time sample][frequency bin], hop 1."""
@@ -90,7 +97,9 @@ def stft(x: RealSignal, sigma: float) -> Spectrogram:
     """
     g, half = gaussian_window(sigma)
     if 2 * half + 1 < 8:
-        raise ValueError(f"sigma={sigma} leaves a window under 8 samples")
+        raise ResolutionError(
+            f"sigma={sigma:g} leaves a window of {2 * half + 1} samples, under 8; lower sigma"
+        )
     N = len(x)
     nfft = fft_length(N, 2 * half + 1)
 
@@ -107,7 +116,7 @@ def stft(x: RealSignal, sigma: float) -> Spectrogram:
         wframes = frames[start:stop] * g
         b[:, : half + 1] = wframes[:, half:]
         b[:, nfft - half :] = wframes[:, :half]
-        values[start:stop] = np.fft.rfft(b, axis=1)
+        np.fft.rfft(b, axis=1, out=values[start:stop])
     freq_axis = np.arange(nfft // 2 + 1) * (x.fs / nfft)
     # fraction of the window mass falling inside the record, per frame
     cg = np.concatenate([[0.0], np.cumsum(g)])
@@ -136,8 +145,9 @@ def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
     if max_jump_hz <= 0:
         raise ValueError("max frequency jump must be positive")
     if max_jump_hz < spec.bin_width:
-        raise ValueError(
-            f"max jump {max_jump_hz} Hz is below one bin width {spec.bin_width:.4g} Hz"
+        raise ResolutionError(
+            f"max jump I_f={max_jump_hz:g} Hz is below one bin width {spec.bin_width:.4g} Hz"
+            f" at fs={spec.fs:g} Hz (nfft={spec.nfft}); raise I_f or lower sigma"
         )
     values = spec.values
     n_time, n_freq = values.shape
@@ -191,16 +201,18 @@ def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.nd
     hi = np.searchsorted(spec.freq_axis, ridge.freq + delta, side="right")
     lo = np.clip(lo, 0, n_freq)
     hi = np.clip(hi, lo, n_freq)
-    # one-sided doubling: weight 2 everywhere except DC and Nyquist
+    # one-sided doubling: weight 2 everywhere except DC and Nyquist. The
+    # frames whose band holds w bins are summed together: indexing a
+    # width-w sliding view by (frame, lo) copies out only their bands.
     out = np.empty(spec.n_times, dtype=complex)
-    for n in range(spec.n_times):
-        seg = spec.values[n, lo[n] : hi[n]]
-        s = 2.0 * seg.sum()
-        if lo[n] == 0:
-            s -= spec.values[n, 0]
-        if hi[n] == n_freq:
-            s -= spec.values[n, -1]
-        out[n] = s
+    width = hi - lo
+    for w in np.unique(width):
+        rows = np.flatnonzero(width == w)
+        bands = np.lib.stride_tricks.sliding_window_view(spec.values, w, axis=1)
+        out[rows] = 2.0 * bands[rows, lo[rows]].sum(axis=1)
+    dc, nyquist = lo == 0, hi == n_freq
+    out[dc] -= spec.values[dc, 0]
+    out[nyquist] -= spec.values[nyquist, -1]
     out /= spec.nfft
     out /= spec.window_coverage
     return out

@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from tvshape import SyntheticSpec, WaveShapeModel, add_noise, generate, read_signal_csv, write_signal_csv
-from tvshape.cli import EXIT_NO_RESULT, EXIT_OK, EXIT_USAGE, main
+from tvshape import (
+    RealSignal,
+    SyntheticSpec,
+    WaveShapeModel,
+    add_noise,
+    generate,
+    read_signal_csv,
+    write_signal_csv,
+)
+from tvshape.cli import EXIT_NO_RESULT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +76,6 @@ def test_ip_preset_accepted(tmp_path):
     fs = 32.0
     t = np.arange(int(60 * fs)) / fs
     x = np.cos(2 * np.pi * 0.25 * t) + 0.25 * np.cos(2 * np.pi * 1.4 * t)
-    from tvshape import RealSignal
-
     src = tmp_path / "ip.csv"
     write_signal_csv(src, RealSignal(x - x.mean(), fs))
     out = tmp_path / "ip_out"
@@ -163,12 +169,36 @@ def test_config_and_preset_are_exclusive(tmp_path, s1_csv):
 @pytest.mark.parametrize(
     "flag",
     [["--sigma", "-1"], ["--If", "0"], ["--delta", "-2"], ["--rmax", "0"], ["--delta", "nan"],
-     ["--sigma", "nan"], ["--If", "nan"], ["--sigma", "inf"], ["--delta", "inf"]],
+     ["--sigma", "nan"], ["--If", "nan"], ["--sigma", "inf"], ["--delta", "inf"],
+     # valid numbers that the record's STFT cannot honour: a ridge step below
+     # one bin, a window under 8 samples
+     ["--If", "0.001"], ["--sigma", "1"], ["--sigma", "2"],
+     # no flag: the eeg preset's I_f (0.04 Hz) is below one bin at this
+     # record's 2 kHz (the later --preset wins)
+     ["--preset", "eeg"]],
 )
 def test_out_of_range_config_flag_usage_error(tmp_path, s1_csv, capsys, flag):
     out = tmp_path / "out"
     assert main(["denoise", str(s1_csv), "--preset", "synthetic", *flag, "--out", str(out)]) == EXIT_USAGE
     assert "usage error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resolution_error_names_the_parameter_and_the_sampling_rate(tmp_path, s1_csv, capsys):
+    out = tmp_path / "out"
+    assert main(["denoise", str(s1_csv), "--preset", "eeg", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "I_f=0.04 Hz is below one bin width" in err
+    assert "fs=2000 Hz" in err and "raise I_f or lower sigma" in err
+
+
+def test_record_failure_is_a_runtime_error(tmp_path, capsys):
+    # an all-zero record fails in the pipeline under a valid config: exit 1
+    src = tmp_path / "zero.csv"
+    write_signal_csv(src, RealSignal(np.zeros(2000), 2000.0))
+    out = tmp_path / "out"
+    assert main(["denoise", str(src), "--preset", "synthetic", "--out", str(out)]) == EXIT_RUNTIME
+    assert "error: stage " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from tvshape import (
     residual_and_jacobian,
 )
 from tvshape.pchip import pchip_eval, pchip_eval_with_amp_jacobian, pchip_slopes
-from tvshape.solver import FitContext, _fd_jacobian
+from tvshape.solver import FTOL, FitContext, FitDiagnostics, _fd_jacobian
 
 FS = 2000.0
 
@@ -284,6 +286,7 @@ def test_fit_r1_nothing_to_fit():
     init = WaveShapeModel(r=1, harmonics=[], fundamental=_fund(n))
     fitted, diag = fit(xd, phi1, init)
     assert diag.iterations == 0
+    assert diag.converged_by == "empty"
     assert diag.rss_trace == [diag.final_rss]
 
 
@@ -379,6 +382,45 @@ def test_non_finite_init_rejected():
     )
     with pytest.raises(FitError):
         fit(RealSignal(np.zeros(n) + 1.0, FS), phi1, init)
+
+
+def _pinned_phase_ratio_fit():
+    # true e = 2.3 against the default box [1.9, 2.1]: every step pushes e
+    # past 2.1 and the projection clamps it back, so the step the fit takes
+    # is not the step the normal equations proposed
+    n = 600
+    phi1 = 5.0 * np.arange(n) / FS
+    alpha = 0.5
+    target = np.cos(2 * np.pi * phi1) + alpha * (
+        np.cos(2 * np.pi * 2.3 * phi1) + 0.3 * np.sin(2 * np.pi * 2.3 * phi1)
+    )
+    target += 0.05 * np.random.default_rng(0).standard_normal(n)
+    nodes = HafNodes(np.array([0.0, (n - 1) / FS]), np.array([alpha, alpha]))
+    init = WaveShapeModel(
+        r=2, harmonics=[HarmonicModel(e=2.0, c=0.0, nodes=nodes)], fundamental=_fund(n)
+    )
+    return fit(RealSignal(target, FS), phi1, init, FitOptions(freeze_nodes=True))
+
+
+def test_fit_pinned_at_the_box_edge_stops_by_ftol():
+    # the predicted reduction is taken along the projected step: along the
+    # unprojected one it stays far above the actual reduction and the fit
+    # runs to max_iters
+    fitted, diag = _pinned_phase_ratio_fit()
+    assert fitted.harmonics[0].e == 2.0 + 0.1
+    assert diag.converged_by == "ftol"
+    assert diag.iterations <= 50 < FitOptions().max_iters
+    trace = np.array(diag.rss_trace)
+    assert trace.size == diag.iterations + 1        # every iteration accepted a step
+    assert np.all(np.diff(trace) < 0)
+    assert (trace[-2] - trace[-1]) / trace[-2] <= FTOL
+
+
+def test_ftol_diagnostics_json_roundtrip():
+    _, diag = _pinned_phase_ratio_fit()
+    raw = json.loads(diag.to_json())
+    assert raw["converged_by"] == "ftol"
+    assert FitDiagnostics(**raw) == diag
 
 
 def test_diagnostics_json():

@@ -18,6 +18,7 @@ from tvshape import (
     vertical_reconstruct,
 )
 from tvshape.stft import (
+    Ridge,
     Spectrogram,
     fft_length,
     full_band_resynthesis,
@@ -239,6 +240,44 @@ def test_vertical_reconstruct_narrow_band_underestimates():
     y = vertical_reconstruct(spec, ridge, delta=spec.bin_width / 2)  # single bin
     sl = _interior(spec)
     assert np.mean(np.abs(y[sl])) < 0.9  # band truncation loses energy
+
+
+def _reference_vertical_reconstruct(spec, ridge, delta):
+    """The band sum taken one frame at a time."""
+    n_freq = spec.freq_axis.size
+    lo = np.clip(np.searchsorted(spec.freq_axis, ridge.freq - delta, side="left"), 0, n_freq)
+    hi = np.clip(np.searchsorted(spec.freq_axis, ridge.freq + delta, side="right"), lo, n_freq)
+    out = np.empty(spec.n_times, dtype=complex)
+    for n in range(spec.n_times):
+        s = 2.0 * spec.values[n, lo[n] : hi[n]].sum()
+        if lo[n] == 0:
+            s -= spec.values[n, 0]
+        if hi[n] == n_freq:
+            s -= spec.values[n, -1]
+        out[n] = s
+    return out / spec.nfft / spec.window_coverage
+
+
+@pytest.mark.filterwarnings("ignore:reconstruction band clipped")
+def test_vertical_reconstruct_equals_per_frame_sum_bitwise():
+    x, _ = generate(SyntheticSpec("tv_reconstruction"))
+    spec = stft(add_noise(x, 0.0, 1), SIGMA)
+    ridge = extract_ridge(spec, max_jump_hz=2.0)
+    delta = default_band_halfwidth(SIGMA, FS)
+    # harmonic bands, bands clipped at DC and at Nyquist, and a band
+    # between two bins that holds none
+    cases = [(ell * ridge.freq, delta) for ell in range(1, 6)]
+    cases += [(ridge.freq - 30.0, delta), (ridge.freq + FS / 2 - 50.0, delta),
+              (ridge.freq + 0.5 * spec.bin_width, spec.bin_width / 4)]
+    widths = set()
+    for freq, d in cases:
+        r = Ridge(freq=freq)
+        y = vertical_reconstruct(spec, r, d)
+        assert y.tobytes() == _reference_vertical_reconstruct(spec, r, d).tobytes()
+        lo = np.searchsorted(spec.freq_axis, freq - d, side="left")
+        hi = np.searchsorted(spec.freq_axis, freq + d, side="right")
+        widths.update(np.clip(hi, lo, spec.freq_axis.size) - np.clip(lo, 0, None))
+    assert 0 in widths and len(widths) > 3
 
 
 def test_phase_shift_invariance():
