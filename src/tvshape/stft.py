@@ -10,11 +10,26 @@ with w = 2 on interior bins and 1 at DC/Nyquist (the window peak g(0) is 1).
 The frequency grid is capped: nfft covers the record only up to
 GRID_WINDOWS truncated windows, so beyond that length the spectrogram's
 memory and FFT time grow linearly in the number of samples.
+
+The two passes over every spectrogram entry, the FFT of the frames in
+`stft` and the global-|F| search for the ridge's anchor (`ridge_anchor`),
+split the frame rows into one contiguous span per CPU the process may run
+on and run the spans on threads (numpy's FFT and ufunc loops release the
+GIL). The calling thread allocates every block buffer before the threads
+start, one per worker, with BLOCK_ELEMENTS shared among them: a buffer a
+worker thread allocated itself would stay resident in that thread's
+malloc arena. Each call opens its own pool and joins it before returning,
+so no pool is left for a forked child (the bench's process pool) to
+inherit without its threads. Every span computes the rows it owns exactly
+as the single-threaded loop does, so the output does not depend on the
+CPU count.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +103,45 @@ def fft_length(n_samples: int, window_length: int) -> int:
     return 1 << int(np.ceil(np.log2(need)))
 
 
+def worker_count(n_rows: int) -> int:
+    """Threads for a pass over n_rows frame rows: one per CPU this process
+    may run on, as many as os.cpu_count() where the affinity mask cannot be
+    read, never more than there are rows."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_rows))
+
+
+def _map_blocks(fn, n_rows: int, width: int) -> list:
+    """[fn(buf, start, stop) for every block of rows start:stop], in row order.
+
+    The rows split into one contiguous span per worker (`worker_count`), and
+    each span is walked in blocks of at most BLOCK_ELEMENTS / workers
+    entries of `width` columns. buf is its worker's (stop - start, width)
+    float buffer: zeroed at the start and holding whatever fn wrote to it
+    in the worker's previous blocks. The calling thread allocates every
+    buffer before the pool starts and the pool is joined before returning.
+    """
+    workers = worker_count(n_rows)
+    bounds = [n_rows * w // workers for w in range(workers + 1)]
+    chunk = max(1, min(-(-n_rows // workers), BLOCK_ELEMENTS // (workers * width)))
+    bufs = [np.zeros((chunk, width)) for _ in range(workers)]
+
+    def walk_span(w: int) -> list:
+        out = []
+        for start in range(bounds[w], bounds[w + 1], chunk):
+            stop = min(start + chunk, bounds[w + 1])
+            out.append(fn(bufs[w][: stop - start], start, stop))
+        return out
+
+    if workers == 1:
+        return walk_span(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [r for span in pool.map(walk_span, range(workers)) for r in span]
+
+
 def stft(x: RealSignal, sigma: float) -> Spectrogram:
     """Per-sample-hop Gaussian-window STFT with one-sided frequency axis.
 
@@ -106,17 +160,15 @@ def stft(x: RealSignal, sigma: float) -> Spectrogram:
     padded = np.concatenate([np.zeros(half), x.samples, np.zeros(half)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
     values = np.empty((N, nfft // 2 + 1), dtype=complex)
-    # window-centered phase: place g's center at FFT index 0
-    chunk = max(1, BLOCK_ELEMENTS // nfft)
-    buf = np.zeros((min(chunk, N), nfft))
-    for start in range(0, N, chunk):
-        stop = min(start + chunk, N)
-        b = buf[: stop - start]
-        b[:] = 0.0
-        wframes = frames[start:stop] * g
-        b[:, : half + 1] = wframes[:, half:]
-        b[:, nfft - half :] = wframes[:, :half]
+
+    def transform(b: np.ndarray, start: int, stop: int) -> None:
+        # window-centered phase: g's center goes to FFT index 0 and its left
+        # half wraps to the end; the middle of b is never written, so stays 0
+        np.multiply(frames[start:stop, half:], g[half:], out=b[:, : half + 1])
+        np.multiply(frames[start:stop, :half], g[:half], out=b[:, nfft - half :])
         np.fft.rfft(b, axis=1, out=values[start:stop])
+
+    _map_blocks(transform, N, nfft)
     freq_axis = np.arange(nfft // 2 + 1) * (x.fs / nfft)
     # fraction of the window mass falling inside the record, per frame
     cg = np.concatenate([[0.0], np.cumsum(g)])
@@ -135,6 +187,30 @@ def stft(x: RealSignal, sigma: float) -> Spectrogram:
     )
 
 
+def ridge_anchor(values: np.ndarray) -> tuple[int, int]:
+    """(frame, bin) of the first maximum of |values| in time-major order.
+
+    |F| is taken one block of frames at a time, the blocks split among
+    threads; the blocks' maxima are combined in row order with a strict >,
+    so a tie anchors at the earliest frame whatever the block and span
+    boundaries.
+    """
+    n_freq = values.shape[1]
+
+    def block_max(b: np.ndarray, start: int, stop: int) -> tuple[float, int]:
+        mag = np.abs(values[start:stop], out=b)
+        k = int(np.argmax(mag))
+        return mag.flat[k], start * n_freq + k
+
+    best, flat = 0.0, 0
+    for block_best, k in _map_blocks(block_max, values.shape[0], n_freq):
+        if block_best > best:
+            best, flat = block_best, k
+    if not best > 0:
+        raise ValueError("all-zero spectrogram")
+    return flat // n_freq, flat % n_freq
+
+
 def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
     """Greedy maximum-energy ridge.
 
@@ -151,18 +227,7 @@ def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
         )
     values = spec.values
     n_time, n_freq = values.shape
-    # anchor: first maximum of |F| in time-major order, found one block of
-    # frames at a time; strict > keeps the earliest block on ties
-    best, anchor_t, anchor_f = 0.0, 0, 0
-    chunk = max(1, BLOCK_ELEMENTS // n_freq)
-    for start in range(0, n_time, chunk):
-        mag = np.abs(values[start : start + chunk])
-        k = int(np.argmax(mag))
-        if mag.flat[k] > best:
-            best = mag.flat[k]
-            anchor_t, anchor_f = start + k // n_freq, k % n_freq
-    if not best > 0:
-        raise ValueError("all-zero spectrogram")
+    anchor_t, anchor_f = ridge_anchor(values)
 
     jump_bins = max(1, int(np.floor(max_jump_hz / spec.bin_width)))
     idx = np.empty(n_time, dtype=int)

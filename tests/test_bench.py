@@ -1,10 +1,16 @@
+import faulthandler
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from tvshape import preset
+from tvshape import RealSignal, preset, stft
 from tvshape.bench import BenchSpec, run_bench, write_bench_outputs
+
+stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
+
+FORK_TIMEOUT_S = 120
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +37,22 @@ def test_process_pool_returns_the_sequential_result(cfg):
     # two cells per process; the pool must hand back what the loop computes
     kw = dict(experiment="segmentation", snr_levels=[10.0, 20.0], n_realizations=2, seed=4, config=cfg)
     assert run_bench(BenchSpec(n_jobs=2, **kw)) == run_bench(BenchSpec(n_jobs=1, **kw))
+
+
+def test_process_pool_forked_after_a_threaded_stft(cfg, monkeypatch):
+    # every stft call joins its own thread pool before it returns, so a cell
+    # process forked afterwards inherits no pool whose threads are gone; the
+    # forked cells run threaded STFTs too
+    monkeypatch.setattr(stft_module, "worker_count", lambda n_rows: min(2, n_rows))
+    stft(RealSignal(np.random.default_rng(0).standard_normal(2000), 2000.0), cfg.sigma)
+    kw = dict(experiment="tv_denoise_s1", snr_levels=[10.0], n_realizations=2, seed=6, config=cfg)
+    # a hung cell would block the run forever: end the process instead, with
+    # every thread's stack on stderr (visible under -s)
+    faulthandler.dump_traceback_later(FORK_TIMEOUT_S, exit=True)
+    try:
+        assert run_bench(BenchSpec(n_jobs=2, **kw)) == run_bench(BenchSpec(n_jobs=1, **kw))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def test_denoise_bench_deterministic(cfg, tmp_path):

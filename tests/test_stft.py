@@ -1,4 +1,6 @@
 import importlib
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from tvshape.stft import (
     full_band_resynthesis,
     gaussian_window,
     noise_sigma_estimate,
+    ridge_anchor,
     threshold_coefficients,
 )
 
@@ -150,6 +153,70 @@ def test_ridge_matches_full_magnitude_search(monkeypatch, block):
     ridge = extract_ridge(tied, 2.0)
     assert ridge.freq[1] == 3.0
     assert np.array_equal(ridge.freq, _reference_ridge(tied, 2.0))
+
+
+def _tied_spectrogram(first_bin, second_bin):
+    """Six frames of noise with equal maxima in frames 1 and 4: split among
+    two or three workers, the two frames fall in different spans."""
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.0, 1.0, (6, 20)) + 0j
+    values[1, first_bin] = values[4, second_bin] = 5.0
+    return Spectrogram(values, np.arange(20.0), fs=38.0, window_norm=1.0, window_halfwidth=1,
+                       nfft=38, window_coverage=np.ones(6))
+
+
+@pytest.mark.parametrize("block", [1, 7, 5000, stft_module.BLOCK_ELEMENTS])
+def test_spectrogram_and_ridge_byte_equal_for_any_worker_count(monkeypatch, block):
+    monkeypatch.setattr(stft_module, "BLOCK_ELEMENTS", block)
+    x, _ = generate(SyntheticSpec("tv_reconstruction"))
+    noisy = add_noise(x, 0.0, 1)
+    tied = [_tied_spectrogram(3, 15), _tied_spectrogram(15, 3)]
+    outputs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(stft_module, "worker_count", lambda n_rows, w=workers: min(w, n_rows))
+        spec = stft(noisy, SIGMA)
+        outputs[workers] = [spec.values.tobytes(), ridge_anchor(spec.values),
+                            extract_ridge(spec, 2.0).freq.tobytes()]
+        outputs[workers] += [(ridge_anchor(t.values), extract_ridge(t, 2.0).freq.tobytes()) for t in tied]
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+    # the earlier frame of a tie anchors, whichever bin either sits in
+    assert outputs[1][3][0] == (1, 3)
+    assert outputs[1][4][0] == (1, 15)
+
+
+def test_worker_count_follows_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert stft_module.worker_count(1000) == 8
+    assert stft_module.worker_count(3) == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert stft_module.worker_count(1000) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert stft_module.worker_count(1000) == 1
+
+
+def test_pool_has_at_most_one_thread_per_row_and_ends_with_the_call(monkeypatch):
+    opened = []
+    pool = stft_module.ThreadPoolExecutor
+
+    def spy(max_workers):
+        opened.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(stft_module, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    threads = threading.active_count()
+    spec = stft(_tone(n=3), SIGMA)
+    anchor = ridge_anchor(spec.values)
+    assert opened == [3, 3]
+    assert threading.active_count() == threads
+    # one CPU: the plain loop, no pool, the same output
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    single = stft(_tone(n=3), SIGMA)
+    assert ridge_anchor(single.values) == anchor
+    assert single.values.tobytes() == spec.values.tobytes()
+    assert opened == [3, 3]
 
 
 def _uncapped_fft_length(n, window_length):
