@@ -12,6 +12,11 @@ boundary-extended, the nodes at the original record edges are fixed too.
 `synthesize` is the one place this formula is written. It also returns the
 jacobian in the coefficient order of `WaveShapeModel.flatten`, which the
 fitter in `solver` uses; `evaluate_model` resynthesizes a fitted model.
+Each harmonic is evaluated once per call (`harmonic_terms`: its carriers
+and its HAF curve), and the values, the amplitude band, the knot
+differences and the c and e columns all read that evaluation. A caller
+that already holds a model's terms on the same grid (the fitter's
+accepted trial) passes them in and nothing is evaluated twice.
 """
 
 from __future__ import annotations
@@ -22,7 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pchip import pchip_eval, pchip_eval_with_amp_jacobian, pchip_knot_differences
+from .pchip import Curve, amp_band, knot_differences, pchip_curve
+# not called here: the benchmark's per-layer tracer (perfbench/tracer.py,
+# --trace 1) wraps this name of this module, so it must stay resolvable
+from .pchip import pchip_eval  # noqa: F401
 from .signals import RealSignal
 from .stft import FundamentalEstimate
 
@@ -206,11 +214,32 @@ def remodulate(x_demod_hat: RealSignal, fund: FundamentalEstimate) -> RealSignal
     return x_demod_hat.with_samples(x_demod_hat.samples * fund.B1)
 
 
+class HarmonicTerms(NamedTuple):
+    """One harmonic evaluated along a phase track: its carriers and its HAF."""
+
+    cos_a: np.ndarray       # cos(2 pi e phi1)
+    sin_a: np.ndarray       # sin(2 pi e phi1)
+    theta: np.ndarray       # cos_a + c * sin_a
+    curve: Curve            # the HAF curve at the sample times
+
+
+def harmonic_terms(model: WaveShapeModel, phi1: np.ndarray, t: np.ndarray) -> list[HarmonicTerms]:
+    """Each harmonic's carriers and HAF curve along phi1 at the sample times t."""
+    terms = []
+    for h in model.harmonics:
+        arg = 2 * np.pi * h.e * phi1
+        cos_a, sin_a = np.cos(arg), np.sin(arg)
+        curve = pchip_curve(h.nodes.times, h.nodes.amps, t)
+        terms.append(HarmonicTerms(cos_a, sin_a, cos_a + h.c * sin_a, curve))
+    return terms
+
+
 def synthesize(
     model: WaveShapeModel,
     phi1: np.ndarray,
     t: np.ndarray,
     knot_step: float | None = None,
+    terms: list[HarmonicTerms] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Model values along the phase track phi1 at the sample times t.
 
@@ -218,27 +247,29 @@ def synthesize(
     amplitude, quadrature and phase-ratio columns are analytic, free node
     times are central differences with step knot_step, evaluated on the
     four intervals a node moves (see pchip_knot_differences). Otherwise J
-    is None.
+    is None. terms, if given, are `harmonic_terms(model, phi1, t)` from an
+    earlier call: each harmonic is then not evaluated again, and the
+    result is the same bit for bit.
     """
+    if terms is None:
+        terms = harmonic_terms(model, phi1, t)
     out = np.cos(2 * np.pi * phi1)
     if knot_step is not None:
         slots, size = model.coefficient_layout()
+        samples = np.arange(phi1.size)
     # column-major, the layout numpy gives a column subset J[:, mask]: the
     # fitter's normal equations (J^T r, J^T J) then round the same way whether
     # it uses all of J in place or a subset of frozen-node columns
     J = None if knot_step is None else np.zeros((phi1.size, size), order="F")
-    for k, h in enumerate(model.harmonics):
-        arg = 2 * np.pi * h.e * phi1
-        cos_a, sin_a = np.cos(arg), np.sin(arg)
-        theta = cos_a + h.c * sin_a
-        if J is None:
-            haf = pchip_eval(h.nodes.times, h.nodes.amps, t)
-        else:
+    for k, (h, (cos_a, sin_a, theta, curve)) in enumerate(zip(model.harmonics, terms)):
+        haf = curve.values
+        if J is not None:
             s = slots[k]
-            haf, W = pchip_eval_with_amp_jacobian(h.nodes.times, h.nodes.amps, t)
-            rows, cols, dhaf = pchip_knot_differences(h.nodes.times, h.nodes.amps, t, s.nodes, knot_step)
+            rows, cols, dhaf = knot_differences(curve, s.nodes, knot_step)
             J[rows, s.times.start + cols] = dhaf * theta[rows]
-            np.multiply(W, theta[:, None], out=J[:, s.amps])
+            first, band = amp_band(curve)
+            for b, col in enumerate(band):
+                J[samples, s.amps.start + first + b] = col * theta
             J[:, s.c] = haf * sin_a                                         # d/dc
             J[:, s.c + 1] = haf * 2 * np.pi * phi1 * (-sin_a + h.c * cos_a)  # d/de
         out = out + haf * theta

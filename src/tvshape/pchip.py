@@ -7,18 +7,25 @@ one-sided three-point estimate with shape-preserving clipping. The curve
 is exact at the nodes, C1 everywhere, monotone wherever the node
 amplitudes are monotone, and keeps local extrema at the nodes.
 
-Both evaluators share one path (node check, slopes, interval search,
-Hermite weights). Besides the values, it gives the exact derivative of the
-curve with respect to the node amplitudes (the slope rules are
-differentiable inside each branch). `pchip_knot_differences` gives central
-differences in the node times. Moving one node changes at most three
-slopes, so such a difference is nonzero only on the four intervals around
-the node: the differences for all nodes of a curve are evaluated there, in
-one batch over the perturbed node sets. `model.synthesize` builds the
-wave-shape model and its jacobian from these three.
+A curve is evaluated once (`pchip_curve`: node check, slopes, interval
+search, Hermite weights), and three things read that evaluation: the
+values; `amp_band`, the exact derivative of the curve with respect to the
+node amplitudes (the slope rules are differentiable inside each branch),
+which is nonzero only on the four amplitudes a sample's interval reads;
+and `knot_differences`, central differences in the node times. Moving one
+node changes at most three slopes, so such a difference is nonzero only on
+the four intervals around the node: the differences for all nodes of a
+curve are evaluated there, in one batch over the perturbed node sets, and
+on the two outer intervals the curve's own Hermite weights serve; they are
+bit for bit those of two fresh evaluations of the moved curves.
+`model.synthesize` builds the wave-shape model and its jacobian from these
+three; `pchip_eval`, `pchip_eval_with_amp_jacobian` (a dense amplitude
+jacobian) and `pchip_knot_differences` evaluate from the nodes.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,45 +148,154 @@ def _hermite(t0, t1, y0, y1, d0, d1, query):
     return w[0] * y0 + w[1] * d0 + w[2] * y1 + w[3] * d1, w
 
 
-def _evaluate(times, amps, query, want_jac):
-    """Check the nodes, then evaluate the curve at the query times.
+class Curve(NamedTuple):
+    """The curve through one node set, evaluated once at the query times.
 
-    Returns (values, interval index, Hermite weights, d slopes / d amps),
-    the last None unless want_jac.
+    Holds what the values, the amplitude band (`amp_band`) and the knot
+    differences (`knot_differences`) all read, so that each is computed
+    once: the checked nodes, each query time's interval and its Hermite
+    weights.
     """
+
+    times: np.ndarray
+    amps: np.ndarray
+    query: np.ndarray
+    j: np.ndarray           # interval of each query time
+    w: tuple                # Hermite weights of (y0, d0, y1, d1) at each query time
+    values: np.ndarray
+
+
+def pchip_curve(times: np.ndarray, amps: np.ndarray, query: np.ndarray) -> Curve:
+    """Check the nodes, then evaluate the curve at the query times."""
     times, amps = _check_nodes(times, amps)
     query = np.asarray(query, dtype=float)
-    d, dd_dy = _slopes_and_jacobian(times, amps, want_jac)
+    d, _ = _slopes_and_jacobian(times, amps, want_jac=False)
     j = _locate(times, query)
     vals, w = _hermite(times[j], times[j + 1], amps[j], amps[j + 1], d[j], d[j + 1], query)
-    return vals, j, w, dd_dy
+    return Curve(times, amps, query, j, w, vals)
 
 
 def pchip_eval(times: np.ndarray, amps: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Evaluate the shape-preserving cubic at the query times."""
-    return _evaluate(times, amps, query, want_jac=False)[0]
+    return pchip_curve(times, amps, query).values
+
+
+def amp_band(curve: Curve) -> tuple[np.ndarray, list[np.ndarray]]:
+    """d(curve)/d(amplitudes) on the amplitudes each query time reads.
+
+    A slope reads the amplitudes of its node and its neighbours (an edge
+    slope those of the three outermost nodes), so a query time on interval
+    j reads only the amplitudes j-1 .. j+2, shifted inside the node range.
+    Returns (first, band): band[b] is the derivative in amplitude first + b
+    at every query time; every other amplitude's derivative is zero. It is
+    exact wherever the slope rules are differentiable (everywhere except
+    the measure-zero branch switches of the monotonicity limiter).
+    """
+    times, j, w = curve.times, curve.j, curve.w
+    _, dd_dy = _slopes_and_jacobian(times, curve.amps)
+    n = times.size
+    width = min(n, 4)
+    k = np.arange(n - 1)
+    start = np.clip(k - 1, 0, n - width)    # first band amplitude of each interval
+    first = start[j]
+    left = (k - start)[j]                   # band position of the interval's left amplitude
+    band = []
+    for b in range(width):
+        # per-interval tables of d slopes / d amps, gathered per query time
+        col = w[1] * dd_dy[k, start + b][j] + w[3] * dd_dy[k + 1, start + b][j]
+        col += np.where(left == b, w[0], np.where(left == b - 1, w[2], 0.0))
+        band.append(col)
+    return first, band
 
 
 def pchip_eval_with_amp_jacobian(times, amps, query):
     """Curve values plus d(curve)/d(amplitudes).
 
-    Returns (values, W) with W of shape (len(query), len(times)); W is the
-    exact jacobian wherever the slope rules are differentiable (everywhere
-    except the measure-zero branch switches of the monotonicity limiter).
+    Returns (values, W) with W of shape (len(query), len(times)), the band
+    of `amp_band` with zeros elsewhere.
     """
-    vals, j, w, dd_dy = _evaluate(times, amps, query, want_jac=True)
-    # a slope reads the amplitudes of its node and its neighbours (an edge
-    # slope those of the three outermost nodes), so the row of a sample on
-    # interval j is nonzero only on the band of nodes j-1 .. j+2
-    n = dd_dy.shape[1]
-    width = min(n, 4)
-    jc = j[:, None]
-    cols = np.clip(jc - 1, 0, n - width) + np.arange(width)
-    band = w[1][:, None] * dd_dy[jc, cols] + w[3][:, None] * dd_dy[jc + 1, cols]
-    band += np.where(cols == jc, w[0][:, None], np.where(cols == jc + 1, w[2][:, None], 0.0))
-    W = np.zeros((j.size, n))
-    W[np.arange(j.size)[:, None], cols] = band
-    return vals, W
+    curve = pchip_curve(times, amps, query)
+    first, band = amp_band(curve)
+    W = np.zeros((curve.j.size, curve.times.size))
+    rows = np.arange(curve.j.size)
+    for b, col in enumerate(band):
+        W[rows, first + b] = col
+    return curve.values, W
+
+
+def _runs(label, start, stop):
+    """Positions start[k] .. stop[k] - 1 of every run k, run after run, and
+    the label of the run each position belongs to."""
+    count = stop - start
+    at = np.repeat(label, count)
+    return at, np.arange(at.size) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def knot_differences(curve: Curve, nodes, dt):
+    """`pchip_knot_differences` of an evaluated curve.
+
+    On the outer intervals i-2 and i+1 of node i, the moved node is no
+    interval end: the interval and the Hermite weights of a sample are the
+    curve's own, and only the 4-term sums of the two moved slope sets are
+    formed, in the same order as a full evaluation forms them. The inner
+    intervals i-1 and i are evaluated afresh on each moved node set.
+    """
+    times, amps, query, j0, w = curve.times, curve.amps, curve.query, curve.j, curve.w
+    nodes = np.asarray(nodes, dtype=int)
+    if np.any((nodes < 1) | (nodes > times.size - 2)):
+        raise ValueError("only interior node times can be differenced")
+    n, n_col = times.size, nodes.size
+
+    # plus and minus node sets of every column, in one batch of shape (2, n_col, n)
+    t_i = times[nodes]
+    moved = t_i + np.array([[dt], [-dt]])
+    T = np.tile(times, (2, n_col, 1))
+    T[:, np.arange(n_col), nodes] = moved
+    H = np.diff(T, axis=-1)
+    if np.any(H <= 0):
+        raise ValueError("node times must be strictly increasing (no duplicates)")
+    D = _slope_rules(H, np.diff(amps) / H)[0].ravel()
+    T = T.ravel()
+    minus = n_col * n                       # offset of the minus sets in the flat tables
+
+    # the samples of interval k are first[k] .. first[k + 1] - 1 of the
+    # samples sorted by interval; a sorted query (the fit's grid) needs no sort
+    order = None if np.all(j0[:-1] <= j0[1:]) else np.argsort(j0, kind="stable")
+    first = np.searchsorted(j0 if order is None else j0[order], np.arange(n))
+    col = np.arange(n_col)
+    left, right = nodes >= 2, nodes <= n - 3
+    out_iv = np.concatenate([nodes[left] - 2, nodes[right] + 1])
+    out_col, out_pos = _runs(np.concatenate([col[left], col[right]]), first[out_iv], first[out_iv + 1])
+    in_col, in_pos = _runs(col, first[nodes - 1], first[nodes + 1])
+    cols = np.concatenate([out_col, in_col])
+    rows = np.concatenate([out_pos, in_pos])
+    if order is not None:
+        rows = order[rows]
+
+    vals = np.empty(cols.size)
+    for a in range(0, out_col.size, _PAIR_BLOCK):
+        s = slice(a, min(a + _PAIR_BLOCK, out_col.size))
+        r = rows[s]
+        jj = j0[r]
+        f = cols[s] * n + jj                # flat index into the node-set tables
+        w0, w1, w2, w3 = (x[r] for x in w)
+        y0, y1 = w0 * amps[jj], w2 * amps[jj + 1]
+        plus = y0 + w1 * D[f] + y1 + w3 * D[f + 1]
+        f += minus
+        vals[s] = (plus - (y0 + w1 * D[f] + y1 + w3 * D[f + 1])) / (2 * dt)
+
+    def inner(side, c, jj, q):
+        # the interval index changes only where node i crossed the sample
+        jp = jj + (q >= moved[side, c]) - (q >= t_i[c])
+        f = side * minus + c * n + jp
+        return _hermite(T[f], T[f + 1], amps[jp], amps[jp + 1], D[f], D[f + 1], q)[0]
+
+    for a in range(out_col.size, cols.size, _PAIR_BLOCK):
+        s = slice(a, a + _PAIR_BLOCK)
+        r = rows[s]
+        pair = cols[s], j0[r], query[r]
+        vals[s] = (inner(0, *pair) - inner(1, *pair)) / (2 * dt)
+    return rows, cols, vals
 
 
 def pchip_knot_differences(times, amps, query, nodes, dt):
@@ -194,45 +310,4 @@ def pchip_knot_differences(times, amps, query, nodes, dt):
     returns (rows, cols, values), the entries of D on those supports, each
     bit for bit as above; D is exactly zero everywhere else.
     """
-    times, amps = _check_nodes(times, amps)
-    query = np.asarray(query, dtype=float)
-    nodes = np.asarray(nodes, dtype=int)
-    if np.any((nodes < 1) | (nodes > times.size - 2)):
-        raise ValueError("only interior node times can be differenced")
-    j0 = _locate(times, query)
-    n, n_col = times.size, nodes.size
-    # (column, sample) pairs on the intervals i-2 .. i+1 of each node i,
-    # taken as runs of the samples sorted by interval
-    order = np.argsort(j0, kind="stable")
-    j_sorted = j0[order]
-    start = np.searchsorted(j_sorted, nodes - 2)
-    count = np.searchsorted(j_sorted, nodes + 2) - start
-    col = np.repeat(np.arange(n_col), count)
-    # position in the sorted samples: column k takes start[k] .. start[k] + count[k]
-    run = np.arange(col.size) + np.repeat(start - np.cumsum(count) + count, count)
-    row, j = order[run], j_sorted[run]
-    t_i = times[nodes]
-    dy = np.diff(amps)
-
-    def node_sets(moved):
-        """Times and slopes of the node sets with node i moved, one row per column."""
-        T = np.tile(times, (n_col, 1))
-        T[np.arange(n_col), nodes] = moved
-        H = np.diff(T, axis=1)
-        if np.any(H <= 0):
-            raise ValueError("node times must be strictly increasing (no duplicates)")
-        return moved, T.ravel(), _slope_rules(H, dy / H)[0].ravel()
-
-    def curve(moved, T, d, c, jj, q):
-        # the interval index changes only where node i crossed the sample
-        jp = jj + (q >= moved[c]) - (q >= t_i[c])
-        f = c * n + jp                  # flat index into the node-set tables
-        return _hermite(T[f], T[f + 1], amps[jp], amps[jp + 1], d[f], d[f + 1], q)[0]
-
-    plus, minus = node_sets(t_i + dt), node_sets(t_i - dt)
-    vals = np.empty(col.size)
-    for a in range(0, col.size, _PAIR_BLOCK):
-        s = slice(a, a + _PAIR_BLOCK)
-        pair = col[s], j[s], query[row[s]]
-        vals[s] = (curve(*plus, *pair) - curve(*minus, *pair)) / (2 * dt)
-    return row, col, vals
+    return knot_differences(pchip_curve(times, amps, query), nodes, dt)

@@ -9,7 +9,11 @@ edge node times never move (they are not part of the vector at all).
 The model and its jacobian come from `model.synthesize`, the one place
 the wave-shape formula is written: node amplitudes, quadrature
 coefficients and phase ratios get analytic columns, free node times
-central differences on the four intervals a node moves.
+central differences on the four intervals a node moves. The accepted trial
+was synthesized at the vector the next jacobian is taken at, so
+`FitContext` keeps the harmonic terms of its last `synthesize` call and
+`residual_and_jacobian` reuses them when the vector is byte-equal; they
+live as long as the context, which is one fit.
 
 The fit stops at the first of three tests. After an accepted step, MINPACK's
 relative-reduction test (Moré 1978): the actual and the predicted relative
@@ -25,11 +29,11 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .model import WaveShapeModel, synthesize
+from .model import HarmonicTerms, WaveShapeModel, harmonic_terms, synthesize
 # not called here: the benchmark's per-layer tracer (perfbench/tracer.py,
 # --trace 1) wraps these names of this module, so they must stay resolvable
 from .pchip import pchip_eval, pchip_eval_with_amp_jacobian  # noqa: F401
@@ -117,6 +121,10 @@ class FitContext:
     min_node_gap: float
     e_bound: float
     freeze_nodes: bool = False
+    # the bytes of the last `synthesize` call's vector and its harmonic terms
+    _last: tuple[bytes, list[HarmonicTerms]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def free_index(self) -> slice | np.ndarray:
         """Index of the coefficients the fit moves: all of them, or only the
@@ -148,32 +156,30 @@ class FitContext:
         return out
 
     def synthesize(self, gamma: np.ndarray) -> np.ndarray:
-        return synthesize(self.template.unflatten(gamma), self.phi1, self.t)[0]
+        model = self.template.unflatten(gamma)
+        terms = harmonic_terms(model, self.phi1, self.t)
+        self._last = gamma.tobytes(), terms
+        return synthesize(model, self.phi1, self.t, terms=terms)[0]
+
+    def terms_at(self, gamma: np.ndarray) -> list[HarmonicTerms] | None:
+        """The harmonic terms of the last `synthesize` call if it was at this
+        very vector (byte-equal), else None."""
+        if self._last is not None and self._last[0] == gamma.tobytes():
+            return self._last[1]
+        return None
 
 
 def residual_and_jacobian(gamma: np.ndarray, ctx: FitContext) -> tuple[np.ndarray, np.ndarray]:
     """Residual r = target - model and d r / d gamma.
 
     The jacobian is the negated model jacobian of `model.synthesize`, with
-    free node times differenced centrally at a tenth of the node gap.
+    free node times differenced centrally at a tenth of the node gap. If
+    `ctx.synthesize` last ran at this gamma (the fit's accepted trial), its
+    harmonic terms are reused; the result is the same bit for bit.
     """
-    synth, J = synthesize(ctx.template.unflatten(gamma), ctx.phi1, ctx.t, ctx.min_node_gap / 10.0)
+    model = ctx.template.unflatten(gamma)
+    synth, J = synthesize(model, ctx.phi1, ctx.t, ctx.min_node_gap / 10.0, ctx.terms_at(gamma))
     return ctx.target - synth, np.negative(J, out=J)
-
-
-def _fd_jacobian(gamma: np.ndarray, ctx: FitContext) -> np.ndarray:
-    """Full central-difference jacobian (testing oracle)."""
-    is_time = np.zeros(gamma.size, dtype=bool)
-    for s in ctx.template.coefficient_layout()[0]:
-        is_time[s.times] = True
-    J = np.empty((ctx.target.size, gamma.size))
-    for i in range(gamma.size):
-        h = ctx.min_node_gap / 10.0 if is_time[i] else 1e-7 * max(1.0, abs(gamma[i]))
-        gp, gm = gamma.copy(), gamma.copy()
-        gp[i] += h
-        gm[i] -= h
-        J[:, i] = ((ctx.target - ctx.synthesize(gp)) - (ctx.target - ctx.synthesize(gm))) / (2 * h)
-    return J
 
 
 def fit(
@@ -185,7 +191,12 @@ def fit(
     """Fit the wave-shape model by damped least squares.
 
     Accepted-step RSS is monotone non-increasing; constraints hold after
-    every accepted step. Deterministic.
+    every accepted step. Deterministic for a given BLAS thread count: the
+    normal equations are BLAS products whose rounding depends on how the
+    sums are split among threads, and the fit's path follows those bits
+    (the 4 s long-record fit takes 15 iterations, stopping by `step` at
+    RSS 1542.59, with one OpenBLAS thread and 39, by `ftol` at RSS 1536.07,
+    with two).
     """
     opts = opts or FitOptions()
     phi1 = np.asarray(phi1, dtype=float)

@@ -38,7 +38,7 @@ from .signals import RealSignal
 
 WINDOW_TRUNCATION = 1e-8
 GRID_WINDOWS = 4               # nfft stops growing with N past this many windows
-BLOCK_ELEMENTS = 4_000_000     # spectrogram entries handled per block of frames
+BLOCK_ELEMENTS = 1_000_000     # spectrogram entries handled per block of frames (8 MB of buffers)
 
 
 class ResolutionError(ValueError):

@@ -25,9 +25,11 @@ from tvshape import (
 )
 from tvshape.bench import BenchSpec, run_denoise_bench
 from tvshape.pchip import pchip_eval
-from tvshape.solver import FitContext, FitOptions, _fd_jacobian, fit, residual_and_jacobian
+from tvshape.solver import FitContext, FitOptions, fit, residual_and_jacobian
 from tvshape.model import HafNodes, HarmonicModel, WaveShapeModel, evaluate_model
 from tvshape.stft import FundamentalEstimate
+
+from oracles import fd_jacobian
 
 CFG = preset("synthetic")
 
@@ -226,7 +228,7 @@ def test_criterion_5_properties():
         )
         gamma = m.flatten()
         _, J = residual_and_jacobian(gamma, ctx)
-        J_fd = _fd_jacobian(gamma, ctx)
+        J_fd = fd_jacobian(gamma, ctx)
         for i in range(gamma.size):
             scale = max(np.max(np.abs(J_fd[:, i])), 1e-9)
             assert np.max(np.abs(J[:, i] - J_fd[:, i])) / scale < 1e-5

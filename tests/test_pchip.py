@@ -218,6 +218,29 @@ def test_knot_differences_match_full_evaluations_bitwise(rng):
             assert np.array_equal(D[:, k], ref), f"node {i} of {n}"
 
 
+def test_knot_differences_of_a_sorted_query_match_full_evaluations_bitwise(rng):
+    # a sorted query (the fit's sample grid) finds each interval's samples
+    # without a sort; the outer intervals reuse the curve's Hermite weights
+    dt = 1e-3
+    for _ in range(40):
+        n = int(rng.integers(3, 12))
+        t = _random_nodes(rng, n)
+        y = rng.standard_normal(n)
+        y[rng.random(n) < 0.2] = 0.5            # repeated amplitudes: flat slopes
+        q = np.sort(np.concatenate([rng.uniform(t[0], t[-1], 300), t, t[1:-1] + dt, t[1:-1] - dt]))
+        nodes = np.arange(1, n - 1)
+        rows, cols, vals = pchip_knot_differences(t, y, q, nodes, dt)
+        assert np.unique(rows * nodes.size + cols).size == rows.size     # each entry once
+        D = np.zeros((q.size, nodes.size))
+        D[rows, cols] = vals
+        for k, i in enumerate(nodes):
+            tp, tm = t.copy(), t.copy()
+            tp[i] += dt
+            tm[i] -= dt
+            ref = (pchip_eval(tp, y, q) - pchip_eval(tm, y, q)) / (2 * dt)
+            assert np.array_equal(D[:, k], ref), f"node {i} of {n}"
+
+
 def test_knot_differences_reject_edge_nodes():
     t = np.array([0.0, 0.5, 1.0])
     with pytest.raises(ValueError):

@@ -15,7 +15,9 @@ from tvshape import (
     residual_and_jacobian,
 )
 from tvshape.pchip import pchip_eval, pchip_eval_with_amp_jacobian, pchip_slopes
-from tvshape.solver import FTOL, FitContext, FitDiagnostics, _fd_jacobian
+from tvshape.solver import FTOL, FitContext, FitDiagnostics
+
+from oracles import fd_jacobian
 
 FS = 2000.0
 
@@ -65,7 +67,7 @@ def test_analytic_jacobian_matches_finite_differences(rng):
         ctx = _context(model)
         gamma = model.flatten()
         _, J = residual_and_jacobian(gamma, ctx)
-        J_fd = _fd_jacobian(gamma, ctx)
+        J_fd = fd_jacobian(gamma, ctx)
         for i in range(gamma.size):
             scale = max(np.max(np.abs(J_fd[:, i])), 1e-9)
             err = np.max(np.abs(J[:, i] - J_fd[:, i])) / scale
@@ -116,6 +118,33 @@ def test_jacobian_equals_full_length_differences_bitwise(rng, extension_map, n):
         r_ref, J_ref = _reference_residual_and_jacobian(gamma, ctx)
         assert np.array_equal(r, r_ref)
         assert np.array_equal(J, J_ref)
+
+
+@pytest.mark.parametrize("extension_map", [(0, 0), (200, 200)])
+@pytest.mark.parametrize("r", [3, 4])
+def test_jacobian_after_a_trial_equals_a_fresh_context_bytewise(rng, r, extension_map):
+    # the jacobian reuses the harmonic terms of the last ctx.synthesize call
+    # (the fit's accepted trial) only at the byte-equal vector: after a trial
+    # at gamma it is the fresh context's, and so it is after a trial one ulp
+    # away in any single coefficient
+    n = 1200
+    model = _random_model(rng, n=n, r=r, n_nodes=6)
+    model.extension_map = extension_map
+    target = rng.standard_normal(n)
+    gamma = model.flatten()
+    fresh = [a.tobytes() for a in residual_and_jacobian(gamma, _context(model, target, n))]
+    base = _context(model, target, n).synthesize(gamma)
+    ctx = _context(model, target, n)
+    ctx.synthesize(gamma)
+    assert [a.tobytes() for a in residual_and_jacobian(gamma, ctx)] == fresh
+    moved = 0
+    for i in range(gamma.size):
+        nudged = gamma.copy()
+        nudged[i] = np.nextafter(nudged[i], np.inf)
+        # a trial whose record differs from gamma's: reusing its terms would show
+        moved += not np.array_equal(ctx.synthesize(nudged), base)
+        assert [a.tobytes() for a in residual_and_jacobian(gamma, ctx)] == fresh, f"coefficient {i}"
+    assert moved >= gamma.size // 2
 
 
 def test_node_time_perturbation_is_local(rng):
