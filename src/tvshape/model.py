@@ -16,7 +16,7 @@ Each harmonic is evaluated once per call (`harmonic_terms`: its carriers
 and its HAF curve), and the values, the amplitude band, the knot
 differences and the c and e columns all read that evaluation. A caller
 that already holds a model's terms on the same grid (the fitter's
-accepted trial) passes them in and nothing is evaluated twice.
+accepted trial) passes them in, and no carrier or curve is evaluated twice.
 """
 
 from __future__ import annotations

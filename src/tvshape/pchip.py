@@ -10,14 +10,15 @@ amplitudes are monotone, and keeps local extrema at the nodes.
 A curve is evaluated once (`pchip_curve`: node check, slopes, interval
 search, Hermite weights), and three things read that evaluation: the
 values; `amp_band`, the exact derivative of the curve with respect to the
-node amplitudes (the slope rules are differentiable inside each branch),
-which is nonzero only on the four amplitudes a sample's interval reads;
-and `knot_differences`, central differences in the node times. Moving one
-node changes at most three slopes, so such a difference is nonzero only on
-the four intervals around the node: the differences for all nodes of a
-curve are evaluated there, in one batch over the perturbed node sets, and
-on the two outer intervals the curve's own Hermite weights serve; they are
-bit for bit those of two fresh evaluations of the moved curves.
+node amplitudes (the slope rules are differentiable inside each branch,
+and run again there for their derivative), which is nonzero only on the
+four amplitudes a sample's interval reads; and `knot_differences`,
+central differences in the node times. Moving one node changes at most
+three slopes, so such a difference is nonzero only on the four intervals
+around the node: the differences for all nodes of a curve are evaluated
+there, in one batch over the perturbed node sets, and on the two outer
+intervals the curve's own Hermite weights serve; they are bit for bit
+those of two fresh evaluations of the moved curves.
 `model.synthesize` builds the wave-shape model and its jacobian from these
 three; `pchip_eval`, `pchip_eval_with_amp_jacobian` (a dense amplitude
 jacobian) and `pchip_knot_differences` evaluate from the nodes.
@@ -192,6 +193,8 @@ def amp_band(curve: Curve) -> tuple[np.ndarray, list[np.ndarray]]:
     the measure-zero branch switches of the monotonicity limiter).
     """
     times, j, w = curve.times, curve.j, curve.w
+    # the slope rules run again here, for their jacobian: most curves come
+    # from the fit's trial evaluations, which never need it
     _, dd_dy = _slopes_and_jacobian(times, curve.amps)
     n = times.size
     width = min(n, 4)
@@ -258,19 +261,16 @@ def knot_differences(curve: Curve, nodes, dt):
     T = T.ravel()
     minus = n_col * n                       # offset of the minus sets in the flat tables
 
-    # the samples of interval k are first[k] .. first[k + 1] - 1 of the
-    # samples sorted by interval; a sorted query (the fit's grid) needs no sort
-    order = None if np.all(j0[:-1] <= j0[1:]) else np.argsort(j0, kind="stable")
-    first = np.searchsorted(j0 if order is None else j0[order], np.arange(n))
+    # the samples of interval k are order[first[k]] .. order[first[k + 1] - 1]
+    order = np.argsort(j0, kind="stable")
+    first = np.searchsorted(j0[order], np.arange(n))
     col = np.arange(n_col)
     left, right = nodes >= 2, nodes <= n - 3
     out_iv = np.concatenate([nodes[left] - 2, nodes[right] + 1])
     out_col, out_pos = _runs(np.concatenate([col[left], col[right]]), first[out_iv], first[out_iv + 1])
     in_col, in_pos = _runs(col, first[nodes - 1], first[nodes + 1])
     cols = np.concatenate([out_col, in_col])
-    rows = np.concatenate([out_pos, in_pos])
-    if order is not None:
-        rows = order[rows]
+    rows = order[np.concatenate([out_pos, in_pos])]
 
     vals = np.empty(cols.size)
     for a in range(0, out_col.size, _PAIR_BLOCK):

@@ -9,11 +9,9 @@ edge node times never move (they are not part of the vector at all).
 The model and its jacobian come from `model.synthesize`, the one place
 the wave-shape formula is written: node amplitudes, quadrature
 coefficients and phase ratios get analytic columns, free node times
-central differences on the four intervals a node moves. The accepted trial
-was synthesized at the vector the next jacobian is taken at, so
-`FitContext` keeps the harmonic terms of its last `synthesize` call and
-`residual_and_jacobian` reuses them when the vector is byte-equal; they
-live as long as the context, which is one fit.
+central differences on the four intervals a node moves. The next jacobian
+is taken at the accepted trial, the last one synthesized, so `fit` hands
+the harmonic terms of that trial to `residual_and_jacobian`.
 
 The fit stops at the first of three tests. After an accepted step, MINPACK's
 relative-reduction test (Moré 1978): the actual and the predicted relative
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -121,10 +119,6 @@ class FitContext:
     min_node_gap: float
     e_bound: float
     freeze_nodes: bool = False
-    # the bytes of the last `synthesize` call's vector and its harmonic terms
-    _last: tuple[bytes, list[HarmonicTerms]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def free_index(self) -> slice | np.ndarray:
         """Index of the coefficients the fit moves: all of them, or only the
@@ -155,30 +149,28 @@ class FitContext:
             out[s.times] = times[s.nodes]
         return out
 
-    def synthesize(self, gamma: np.ndarray) -> np.ndarray:
+    def synthesize(self, gamma: np.ndarray, with_terms: bool = False):
+        """The model at gamma; with_terms: (model, the harmonic terms it was
+        built from), which `residual_and_jacobian` takes at the same gamma."""
         model = self.template.unflatten(gamma)
         terms = harmonic_terms(model, self.phi1, self.t)
-        self._last = gamma.tobytes(), terms
-        return synthesize(model, self.phi1, self.t, terms=terms)[0]
-
-    def terms_at(self, gamma: np.ndarray) -> list[HarmonicTerms] | None:
-        """The harmonic terms of the last `synthesize` call if it was at this
-        very vector (byte-equal), else None."""
-        if self._last is not None and self._last[0] == gamma.tobytes():
-            return self._last[1]
-        return None
+        synth = synthesize(model, self.phi1, self.t, terms=terms)[0]
+        return (synth, terms) if with_terms else synth
 
 
-def residual_and_jacobian(gamma: np.ndarray, ctx: FitContext) -> tuple[np.ndarray, np.ndarray]:
+def residual_and_jacobian(
+    gamma: np.ndarray, ctx: FitContext, terms: list[HarmonicTerms] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Residual r = target - model and d r / d gamma.
 
     The jacobian is the negated model jacobian of `model.synthesize`, with
-    free node times differenced centrally at a tenth of the node gap. If
-    `ctx.synthesize` last ran at this gamma (the fit's accepted trial), its
-    harmonic terms are reused; the result is the same bit for bit.
+    free node times differenced centrally at a tenth of the node gap.
+    terms, if given, are those `ctx.synthesize(gamma, with_terms=True)`
+    returned at this very gamma (the fit's accepted trial); they are reused
+    and the result is the same bit for bit.
     """
     model = ctx.template.unflatten(gamma)
-    synth, J = synthesize(model, ctx.phi1, ctx.t, ctx.min_node_gap / 10.0, ctx.terms_at(gamma))
+    synth, J = synthesize(model, ctx.phi1, ctx.t, ctx.min_node_gap / 10.0, terms)
     return ctx.target - synth, np.negative(J, out=J)
 
 
@@ -213,7 +205,8 @@ def fit(
         freeze_nodes=opts.freeze_nodes,
     )
     gamma = ctx.project(init.flatten())
-    resid = ctx.target - ctx.synthesize(gamma)
+    synth, terms = ctx.synthesize(gamma, with_terms=True)
+    resid = ctx.target - synth
     if not np.all(np.isfinite(resid)):
         bad = [i for i, v in enumerate(gamma) if not np.isfinite(v)]
         raise FitError(f"non-finite residual at the initial model (coefficients {bad})")
@@ -229,7 +222,9 @@ def fit(
     converged_by = "max_iters"
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        resid, J = residual_and_jacobian(gamma, ctx)
+        # terms are the last synthesized trial's, and a new iteration starts
+        # only after a trial was accepted: they are gamma's
+        resid, J = residual_and_jacobian(gamma, ctx, terms)
         Jf = J[:, free]
         grad = Jf.T @ resid
         A = Jf.T @ Jf
@@ -248,7 +243,8 @@ def fit(
                 trial = gamma.copy()
                 trial[free] += delta
                 trial = ctx.project(trial)
-                r_t = ctx.target - ctx.synthesize(trial)
+                synth, terms = ctx.synthesize(trial, with_terms=True)
+                r_t = ctx.target - synth
                 rss_t = float(r_t @ r_t) if np.all(np.isfinite(r_t)) else np.inf
                 if rss_t < rss:
                     # reductions relative to rss; the prediction is the linear

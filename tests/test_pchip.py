@@ -219,8 +219,8 @@ def test_knot_differences_match_full_evaluations_bitwise(rng):
 
 
 def test_knot_differences_of_a_sorted_query_match_full_evaluations_bitwise(rng):
-    # a sorted query (the fit's sample grid) finds each interval's samples
-    # without a sort; the outer intervals reuse the curve's Hermite weights
+    # a sorted query, as the fit's sample grid is, with samples on and next
+    # to the moved nodes; the outer intervals reuse the curve's Hermite weights
     dt = 1e-3
     for _ in range(40):
         n = int(rng.integers(3, 12))

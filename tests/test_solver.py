@@ -14,6 +14,7 @@ from tvshape import (
     fit,
     residual_and_jacobian,
 )
+from tvshape import solver
 from tvshape.pchip import pchip_eval, pchip_eval_with_amp_jacobian, pchip_slopes
 from tvshape.solver import FTOL, FitContext, FitDiagnostics
 
@@ -122,29 +123,45 @@ def test_jacobian_equals_full_length_differences_bitwise(rng, extension_map, n):
 
 @pytest.mark.parametrize("extension_map", [(0, 0), (200, 200)])
 @pytest.mark.parametrize("r", [3, 4])
-def test_jacobian_after_a_trial_equals_a_fresh_context_bytewise(rng, r, extension_map):
-    # the jacobian reuses the harmonic terms of the last ctx.synthesize call
-    # (the fit's accepted trial) only at the byte-equal vector: after a trial
-    # at gamma it is the fresh context's, and so it is after a trial one ulp
-    # away in any single coefficient
+def test_jacobian_from_a_trial_s_terms_equals_a_fresh_one_bytewise(rng, r, extension_map):
+    # the fit hands the harmonic terms of its accepted trial to the next
+    # jacobian: residual and jacobian are those computed from scratch
     n = 1200
     model = _random_model(rng, n=n, r=r, n_nodes=6)
     model.extension_map = extension_map
-    target = rng.standard_normal(n)
+    ctx = _context(model, rng.standard_normal(n), n)
     gamma = model.flatten()
-    fresh = [a.tobytes() for a in residual_and_jacobian(gamma, _context(model, target, n))]
-    base = _context(model, target, n).synthesize(gamma)
-    ctx = _context(model, target, n)
-    ctx.synthesize(gamma)
-    assert [a.tobytes() for a in residual_and_jacobian(gamma, ctx)] == fresh
-    moved = 0
-    for i in range(gamma.size):
-        nudged = gamma.copy()
-        nudged[i] = np.nextafter(nudged[i], np.inf)
-        # a trial whose record differs from gamma's: reusing its terms would show
-        moved += not np.array_equal(ctx.synthesize(nudged), base)
-        assert [a.tobytes() for a in residual_and_jacobian(gamma, ctx)] == fresh, f"coefficient {i}"
-    assert moved >= gamma.size // 2
+    synth, terms = ctx.synthesize(gamma, with_terms=True)
+    assert synth.tobytes() == ctx.synthesize(gamma).tobytes()
+    fresh = [a.tobytes() for a in residual_and_jacobian(gamma, ctx)]
+    assert [a.tobytes() for a in residual_and_jacobian(gamma, ctx, terms)] == fresh
+
+
+def test_fit_hands_the_accepted_trial_to_the_jacobian(rng, monkeypatch):
+    # a fit that rejects trials: the terms handed on must be the accepted
+    # trial's, so the fit equals one whose jacobians start from scratch
+    n = 800
+    model = _random_model(rng, n=n, r=3, n_nodes=5)
+    phi1 = _phi(n, fm=2.0)
+    target = _context(model, n=n).synthesize(model.flatten()) + 0.05 * rng.standard_normal(n)
+    init = _random_model(rng, n=n, r=3, n_nodes=5)
+    xd = RealSignal(target, FS)
+    calls = []
+    synthesize = FitContext.synthesize
+
+    def counted(ctx, gamma, **kwargs):
+        calls.append(gamma)
+        return synthesize(ctx, gamma, **kwargs)
+
+    monkeypatch.setattr(FitContext, "synthesize", counted)
+    fitted, diag = fit(xd, phi1, init, FitOptions(max_iters=50))
+    # the initial model and one call per trial; the trace holds the accepted ones
+    assert len(calls) > len(diag.rss_trace)
+    jacobian = solver.residual_and_jacobian
+    monkeypatch.setattr(solver, "residual_and_jacobian", lambda gamma, ctx, terms=None: jacobian(gamma, ctx))
+    ref, ref_diag = fit(xd, phi1, init, FitOptions(max_iters=50))
+    assert fitted.flatten().tobytes() == ref.flatten().tobytes()
+    assert diag.rss_trace == ref_diag.rss_trace
 
 
 def test_node_time_perturbation_is_local(rng):
