@@ -62,7 +62,12 @@ def fractional_cycle_len(x: RealSignal) -> float:
 def _cubic_at(arr: np.ndarray, j: float) -> float:
     """Catmull-Rom interpolation of arr at fractional index j."""
     b = int(np.floor(j))
-    f = j - b
+    return _catmull_rom(arr, b, j - b)
+
+
+def _catmull_rom(arr, b: int, f: float) -> float:
+    """Catmull-Rom interpolation of arr between arr[b] and arr[b + 1], at
+    fraction f of the way; b may count from the end."""
     p0, p1, p2, p3 = arr[b - 1], arr[b], arr[b + 1], arr[b + 2]
     return p1 + 0.5 * f * (
         p2 - p0 + f * (2 * p0 - 5 * p1 + 4 * p2 - p3 + f * (3 * (p1 - p2) + p3 - p0))
@@ -91,18 +96,23 @@ def _seasonal_ar_forecast(w: np.ndarray, season: float, n_ahead: int, order: int
         coef *= 0.98 / s
     hist = list(z[-order:])
     xs = list(w)
+    # one season before the next sample, counted from the end of xs: the
+    # point and fraction of a tail_len-sample tail, the same at every step.
+    # Once appended, the sample's seasonal difference is taken against that
+    # same value (same four samples, same fraction), so it is reused.
     tail_len = int(np.ceil(season)) + 3
+    j = tail_len - season
+    b = int(np.floor(j))
+    f = j - b
     bound = 3.0 * np.max(np.abs(w))
     out = np.empty(n_ahead)
     for i in range(n_ahead):
         z_next = float(np.dot(coef, hist[::-1]))
-        tail = np.asarray(xs[-tail_len:])
-        x_next = _cubic_at(tail, tail.size - season) + z_next
-        x_next = float(np.clip(x_next, -bound, bound))
+        back = _catmull_rom(xs, b - tail_len, f)
+        x_next = float(np.clip(back + z_next, -bound, bound))
         out[i] = x_next
         xs.append(x_next)
-        tail = np.asarray(xs[-tail_len:])
-        hist.append(xs[-1] - _cubic_at(tail, tail.size - 1 - season))
+        hist.append(x_next - back)
         hist.pop(0)
     return out
 

@@ -51,12 +51,6 @@ def _check_nodes(times: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.nd
     return times, amps
 
 
-def pchip_slopes(times: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Node slopes of the shape-preserving cubic through (times, amps)."""
-    d, _ = _slopes_and_jacobian(*_check_nodes(times, amps), want_jac=False)
-    return d
-
-
 def _slope_rules(h, m, want_jac=False):
     """Node slopes from interval widths h and secants m along the last axis.
 

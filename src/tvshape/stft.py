@@ -39,6 +39,7 @@ from .signals import RealSignal
 WINDOW_TRUNCATION = 1e-8
 GRID_WINDOWS = 4               # nfft stops growing with N past this many windows
 BLOCK_ELEMENTS = 1_000_000     # spectrogram entries handled per block of frames (8 MB of buffers)
+_RIDGE_BLOCK = 256             # ridge frames stepped at once
 
 
 class ResolutionError(ValueError):
@@ -215,8 +216,9 @@ def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
     """Greedy maximum-energy ridge.
 
     Anchors at the global spectrogram maximum and extends forward and
-    backward, restricting each step's search to +-max_jump_hz around the
-    previous frequency.
+    backward: each frame takes the first |F| maximum within +-max_jump_hz
+    of its predecessor's bin. The walk goes a block of frames at a time
+    (`_walk`) and returns the per-frame loop's bins exactly.
     """
     if max_jump_hz <= 0:
         raise ValueError("max frequency jump must be positive")
@@ -226,21 +228,58 @@ def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
             f" at fs={spec.fs:g} Hz (nfft={spec.nfft}); raise I_f or lower sigma"
         )
     values = spec.values
-    n_time, n_freq = values.shape
+    n_time = values.shape[0]
     anchor_t, anchor_f = ridge_anchor(values)
 
     jump_bins = max(1, int(np.floor(max_jump_hz / spec.bin_width)))
     idx = np.empty(n_time, dtype=int)
     idx[anchor_t] = anchor_f
-    for n in range(anchor_t + 1, n_time):
-        a = max(0, idx[n - 1] - jump_bins)
-        b = min(n_freq, idx[n - 1] + jump_bins + 1)
-        idx[n] = a + int(np.argmax(np.abs(values[n, a:b])))
-    for n in range(anchor_t - 1, -1, -1):
-        a = max(0, idx[n + 1] - jump_bins)
-        b = min(n_freq, idx[n + 1] + jump_bins + 1)
-        idx[n] = a + int(np.argmax(np.abs(values[n, a:b])))
+    forward = np.arange(anchor_t + 1, n_time)
+    backward = np.arange(anchor_t - 1, -1, -1)
+    idx[forward] = _walk(values, anchor_f, forward, jump_bins)
+    idx[backward] = _walk(values, anchor_f, backward, jump_bins)
     return Ridge(freq=spec.freq_axis[idx])
+
+
+def _walk(values: np.ndarray, start: int, frames: np.ndarray, jump: int) -> np.ndarray:
+    """Bins of frames[0], frames[1], ... in turn, each the first maximum of
+    |values| in its frame over [p - jump, p + jump] (clipped to the band),
+    p the previous frame's bin and start the bin before frames[0].
+
+    A block of up to _RIDGE_BLOCK frames starts from a guess, every frame
+    at the last fixed bin, and a sweep steps every frame at once from its
+    predecessor's guess. Where the sweep first differs from the guess its
+    bins are exact up to that frame, whose predecessor's guess was right;
+    they become the next guess, and the frames after it are swept again,
+    until a sweep reproduces its guess: then every frame follows from an
+    exact predecessor. A sweep reads each frame's corridor at the fixed
+    width min(2 * jump + 1, n_freq) and sets the entries outside the
+    clipped corridor below zero, so argmax finds the per-frame first
+    maximum.
+    """
+    n_freq = values.shape[1]
+    width = min(2 * jump + 1, n_freq)
+    bands = np.lib.stride_tricks.sliding_window_view(values, width, axis=1)
+    offsets = np.arange(width)
+    out = np.empty(frames.size, dtype=int)
+    for b0 in range(0, frames.size, _RIDGE_BLOCK):
+        rows = frames[b0 : b0 + _RIDGE_BLOCK]
+        prev = start if b0 == 0 else out[b0 - 1]
+        guess = np.full(rows.size, prev)
+        fixed = 0               # leading frames of the block known exact
+        while fixed < rows.size:
+            pred = np.concatenate([[prev], guess[:-1]])[fixed:]
+            a = np.maximum(pred - jump, 0)
+            b = np.minimum(pred + jump + 1, n_freq)
+            lo = np.minimum(a, n_freq - width)          # [a, b) lies in [lo, lo + width)
+            mag = np.abs(bands[rows[fixed:], lo])
+            mag[(offsets < (a - lo)[:, None]) | (offsets >= (b - lo)[:, None])] = -1.0
+            step = lo + np.argmax(mag, axis=1)
+            moved = np.flatnonzero(step != guess[fixed:])
+            guess[fixed:] = step
+            fixed = rows.size if moved.size == 0 else fixed + moved[0] + 1
+        out[b0 : b0 + rows.size] = guess
+    return out
 
 
 def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.ndarray:

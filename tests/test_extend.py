@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tvshape import RealSignal, estimate_cycle_len, extend_boundaries, trim
-from tvshape.extend import fractional_cycle_len
+from tvshape.extend import _seasonal_ar_forecast, fractional_cycle_len
+
+from oracles import seasonal_ar_forecast
 
 FS = 2000.0
 
@@ -93,3 +95,15 @@ def test_fractional_cycle_forecast_beats_integer_mismatch():
     ext = extend_boundaries(x, frac, frac)
     rel = np.linalg.norm(ext.extended.samples[-200:] - full[n:]) / np.linalg.norm(full[n:])
     assert rel < 0.05
+
+
+@pytest.mark.parametrize("season", [50, 50.0, 37.4, 23.71, 4.0, 4.5])
+def test_forecast_equals_the_tail_copying_loop_bitwise(season):
+    # reading the four interpolation samples by index from the growing
+    # record gives the bytes of the loop that interpolated in a copy of its tail
+    rng = np.random.default_rng(int(season * 10))
+    t = np.arange(int(np.ceil(3 * season)) + 40)
+    w = np.sin(2 * np.pi * t / season) + 0.3 * np.cos(4 * np.pi * t / season) + 0.05 * rng.standard_normal(t.size)
+    for window in (w, w[::-1], 1e3 * w[-int(np.ceil(3 * season)):]):
+        got = _seasonal_ar_forecast(window, season, 300)
+        assert got.tobytes() == seasonal_ar_forecast(window, season, 300).tobytes()

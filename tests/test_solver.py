@@ -15,10 +15,10 @@ from tvshape import (
     residual_and_jacobian,
 )
 from tvshape import solver
-from tvshape.pchip import pchip_eval, pchip_eval_with_amp_jacobian, pchip_slopes
+from tvshape.pchip import pchip_eval, pchip_eval_with_amp_jacobian
 from tvshape.solver import FTOL, FitContext, FitDiagnostics
 
-from oracles import fd_jacobian
+from oracles import fd_jacobian, pchip_slopes
 
 FS = 2000.0
 

@@ -155,6 +155,57 @@ def test_ridge_matches_full_magnitude_search(monkeypatch, block):
     assert np.array_equal(ridge.freq, _reference_ridge(tied, 2.0))
 
 
+def _unit_bin_spectrogram(values):
+    """Spectrogram of the given bins, 1 Hz apart from DC, so that a max jump
+    of J Hz is a corridor of +-J bins."""
+    n_time, n_freq = values.shape
+    nfft = max(2 * (n_freq - 1), 1)
+    return Spectrogram(values.astype(complex), np.arange(float(n_freq)), fs=float(nfft),
+                       window_norm=1.0, window_halfwidth=1, nfft=nfft,
+                       window_coverage=np.ones(n_time))
+
+
+def _edge_hugging(n_time, n_freq):
+    # energy at DC for the first half and at Nyquist for the second: the
+    # corridor is clipped at both ends of the band, by any jump
+    values = np.random.default_rng(7).uniform(0.0, 1.0, (n_time, n_freq))
+    values[: n_time // 2, 0] += 2.0
+    values[n_time // 2 :, -1] += 2.0
+    values[n_time // 2, -1] = 9.0
+    return values
+
+
+def _anchored_at(frame, n_time=300, n_freq=24):
+    values = np.random.default_rng(frame).uniform(0.0, 1.0, (n_time, n_freq))
+    values[frame, 5] = 4.0
+    return values
+
+
+RIDGE_CASES = {
+    # noise: the sweeps' guesses keep missing, so a block takes many sweeps
+    "noise": (np.random.default_rng(4).standard_normal((700, 40))
+              + 1j * np.random.default_rng(5).standard_normal((700, 40)), 3),
+    "all_equal": (np.ones((300, 16)), 2),
+    "integer_ties": (np.random.default_rng(6).integers(0, 3, (500, 30)) + 0.0, 2),
+    "clipped_at_dc_and_nyquist": (_edge_hugging(600, 20), 4),
+    "jump_covers_band": (np.random.default_rng(8).uniform(0.0, 1.0, (300, 12)), 12),
+    "jump_beyond_band": (np.random.default_rng(9).uniform(0.0, 1.0, (300, 12)), 40),
+    "single_frame": (np.random.default_rng(10).uniform(0.0, 1.0, (1, 12)), 2),
+    "anchor_in_first_frame": (_anchored_at(0), 2),
+    "anchor_in_last_frame": (_anchored_at(299), 2),
+}
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+@pytest.mark.parametrize("case", sorted(RIDGE_CASES))
+def test_block_ridge_walk_equals_per_frame_loop(monkeypatch, block, case):
+    monkeypatch.setattr(stft_module, "_RIDGE_BLOCK", block)
+    values, jump = RIDGE_CASES[case]
+    spec = _unit_bin_spectrogram(values)
+    ridge = extract_ridge(spec, float(jump))
+    assert np.array_equal(ridge.freq, _reference_ridge(spec, float(jump)))
+
+
 def _tied_spectrogram(first_bin, second_bin):
     """Six frames of noise with equal maxima in frames 1 and 4: split among
     two or three workers, the two frames fall in different spans."""
