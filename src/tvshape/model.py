@@ -246,7 +246,7 @@ def synthesize(
     With knot_step, also returns J = d values / d model.flatten(): node
     amplitude, quadrature and phase-ratio columns are analytic, free node
     times are central differences with step knot_step, evaluated on the
-    four intervals a node moves (see pchip_knot_differences). Otherwise J
+    four intervals a node moves (see pchip.knot_differences). Otherwise J
     is None. terms, if given, are `harmonic_terms(model, phi1, t)` from an
     earlier call: each harmonic is then not evaluated again, and the
     result is the same bit for bit.

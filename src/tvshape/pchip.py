@@ -20,8 +20,8 @@ there, in one batch over the perturbed node sets, and on the two outer
 intervals the curve's own Hermite weights serve; they are bit for bit
 those of two fresh evaluations of the moved curves.
 `model.synthesize` builds the wave-shape model and its jacobian from these
-three; `pchip_eval`, `pchip_eval_with_amp_jacobian` (a dense amplitude
-jacobian) and `pchip_knot_differences` evaluate from the nodes.
+three; `pchip_eval` and `pchip_eval_with_amp_jacobian` (a dense amplitude
+jacobian) evaluate from the nodes.
 """
 
 from __future__ import annotations
@@ -229,7 +229,16 @@ def _runs(label, start, stop):
 
 
 def knot_differences(curve: Curve, nodes, dt):
-    """`pchip_knot_differences` of an evaluated curve.
+    """Central differences of an evaluated curve in the times of interior nodes.
+
+    Column k of the (len(query), len(nodes)) difference matrix D is
+    (pchip_eval(tp, amps, query) - pchip_eval(tm, amps, query)) / (2 dt),
+    where tp and tm are the curve's node times with node i = nodes[k] moved
+    by +dt and -dt. Moving node i changes the slopes of nodes i-1..i+1 and
+    an edge slope that reads node i, so the two curves differ only on the
+    intervals between nodes i-2 and i+2. Only the samples there are
+    evaluated: returns (rows, cols, values), the entries of D on those
+    supports, each bit for bit as above; D is exactly zero everywhere else.
 
     On the outer intervals i-2 and i+1 of node i, the moved node is no
     interval end: the interval and the Hermite weights of a sample are the
@@ -290,18 +299,3 @@ def knot_differences(curve: Curve, nodes, dt):
         pair = cols[s], j0[r], query[r]
         vals[s] = (inner(0, *pair) - inner(1, *pair)) / (2 * dt)
     return rows, cols, vals
-
-
-def pchip_knot_differences(times, amps, query, nodes, dt):
-    """Central differences of the curve in the times of interior nodes.
-
-    Column k of the (len(query), len(nodes)) difference matrix D is
-    (pchip_eval(tp, amps, query) - pchip_eval(tm, amps, query)) / (2 dt),
-    where tp and tm are times with node i = nodes[k] moved by +dt and -dt.
-    Moving node i changes the slopes of nodes i-1..i+1 and an edge slope
-    that reads node i, so the two curves differ only on the intervals
-    between nodes i-2 and i+2. Only the samples there are evaluated:
-    returns (rows, cols, values), the entries of D on those supports, each
-    bit for bit as above; D is exactly zero everywhere else.
-    """
-    return knot_differences(pchip_curve(times, amps, query), nodes, dt)

@@ -32,7 +32,16 @@ from .metrics import MetricsReport, residual_metrics
 from .model import WaveShapeModel, demodulate, evaluate_model, remodulate
 from .pchip import pchip_eval
 from .signals import RealSignal
-from .solver import LAMBDA0, STEP_TOL, FitDiagnostics, FitOptions, check_field_types, fit
+from .solver import (
+    E_BOUND,
+    LAMBDA0,
+    MAX_ITERS,
+    STEP_TOL,
+    FitDiagnostics,
+    FitOptions,
+    check_field_types,
+    fit,
+)
 from .stft import (
     Ridge,
     default_band_halfwidth,
@@ -57,6 +66,9 @@ RETIRED_KEYS = {
     "fit.lambda0": LAMBDA0,
     "fit.grad_tol": 1e-8,
     "fit.step_tol": STEP_TOL,
+    "fit.max_iters": MAX_ITERS,
+    "fit.e_bound": E_BOUND,
+    "fit.min_node_gap": None,       # the two-sample gap, solver.MIN_NODE_GAP_SAMPLES
 }
 
 # The config key of each PipelineConfig field whose key is not its name.
@@ -176,7 +188,41 @@ def _staged(timings, stage, fn, *args, **kwargs):
 
 
 def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> DenoiseResult:
-    """Fit the time-varying wave-shape model and resynthesize the record."""
+    """Fit the time-varying wave-shape model and resynthesize the record.
+
+    The chain runs on the record started at t0 = 0, so the fit does not
+    depend on where the record sits in time (an epoch-stamped t0 would
+    swamp the node times' step tolerance and knot differences); every time
+    in the result is then moved to the record's own axis.
+    """
+    res = _denoise(RealSignal(x.samples, x.fs), cfg, with_metrics)
+    return res if x.t0 == 0 else _moved(res, x.t0)
+
+
+def _moved(res: DenoiseResult, t0: float) -> DenoiseResult:
+    """res with every time it holds shifted by t0 seconds."""
+    def move(y: RealSignal) -> RealSignal:
+        return RealSignal(y.samples, y.fs, y.t0 + t0)
+
+    return replace(
+        res,
+        reconstruction=move(res.reconstruction),
+        model=_moved_model(res.model, t0),
+        lr_reconstruction=move(res.lr_reconstruction),
+        extension=replace(res.extension, extended=move(res.extension.extended)),
+    )
+
+
+def _moved_model(model: WaveShapeModel, t0: float) -> WaveShapeModel:
+    if t0 == 0:
+        return model
+    model = model.copy()
+    for h in model.harmonics:
+        h.nodes.times = h.nodes.times + t0
+    return model
+
+
+def _denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool) -> DenoiseResult:
     timings: dict[str, float] = {}
     delta = cfg.resolved_delta(x.fs)
 
@@ -306,14 +352,16 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
     the reported transition time. No changes anywhere yields t_hat = None.
     """
     check_penalty(penalty)      # a bad penalty fails at once, not after the fit
-    res = denoise(x, cfg, with_metrics=False)
-    model = res.model
+    # fitted and scanned at t0 = 0, as denoise fits; change times on x's axis
+    x0 = RealSignal(x.samples, x.fs)
+    model = denoise(x0, cfg, with_metrics=False).model
     if model.r < 2:
         # no harmonic amplitude functions to scan: report an empty result
         return SegmentationResult(
-            t_hat=None, per_harmonic=[], haf_traces={}, all_changes={}, model=model
+            t_hat=None, per_harmonic=[], haf_traces={}, all_changes={},
+            model=_moved_model(model, x.t0),
         )
-    t = x.times()
+    t = x0.times()
     traces: dict[int, np.ndarray] = {}
     firsts: list[tuple[int, float]] = []
     all_changes: dict[int, list[float]] = {}
@@ -321,7 +369,7 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
         trace = pchip_eval(h.nodes.times, h.nodes.amps, t)
         traces[ell] = trace
         idx = pelt_mean_changes(trace, penalty)
-        times = [float(t[i]) for i in idx]
+        times = [x.t0 + float(t[i]) for i in idx]
         all_changes[ell] = times
         if times:
             firsts.append((ell, times[0]))
@@ -331,5 +379,5 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
         per_harmonic=firsts,
         haf_traces=traces,
         all_changes=all_changes,
-        model=model,
+        model=_moved_model(model, x.t0),
     )

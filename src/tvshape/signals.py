@@ -25,6 +25,8 @@ class RealSignal:
         object.__setattr__(self, "samples", samples)
         if not 0 < self.fs < np.inf:
             raise ValueError(f"fs must be finite and positive, got {self.fs}")
+        if not -np.inf < self.t0 < np.inf:
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("signal needs at least 2 samples in a 1-d array")
         if not np.all(np.isfinite(samples)):

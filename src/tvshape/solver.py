@@ -2,9 +2,10 @@
 
 Minimizes ||x_demod - model(gamma)||^2 over the coefficient vector that
 `WaveShapeModel.coefficient_layout` lays out. Constraints are enforced by
-projection after every trial step: phase ratios stay inside a box around
-their integer, node times stay strictly ordered with a minimum gap, and
-edge node times never move (they are not part of the vector at all).
+projection after every trial step: phase ratios stay within E_BOUND of
+their integer, node times stay strictly ordered at least
+MIN_NODE_GAP_SAMPLES samples apart, and edge node times never move (they
+are not part of the vector at all).
 
 The model and its jacobian come from `model.synthesize`, the one place
 the wave-shape formula is written: node amplitudes, quadrature
@@ -20,7 +21,7 @@ predicted. The prediction is the linearized model's along the projected
 step, the one the fit took, not along the step the normal equations
 proposed: a coefficient held at its box edge would otherwise keep the
 prediction far above the actual reduction. A proposed step below STEP_TOL
-relative to the coefficients also stops it, and so does `max_iters`.
+relative to the coefficients also stops it, and so does MAX_ITERS.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ LAMBDA0 = 1e-3          # initial damping
 LAMBDA_CAP = 1e16
 FTOL = 1e-6             # stop when actual and predicted relative RSS reductions are below this
 STEP_TOL = 1e-10        # stop when the step is this small relative to the coefficients
+MAX_ITERS = 200         # LM iterations before the fit stops by `max_iters`
+E_BOUND = 0.1           # box half-width on |e_l - round(e_l)|
+MIN_NODE_GAP_SAMPLES = 2    # least spacing of adjacent node times, in samples of the record
 
 # value types that a config field annotated with the key accepts
 _FIELD_TYPES = {
@@ -76,19 +80,10 @@ def check_field_types(cfg) -> None:
 
 @dataclass
 class FitOptions:
-    max_iters: int = 200
-    e_bound: float = 0.1            # box half-width on |e_l - round(e_l)|
-    min_node_gap: float | None = None   # seconds; default 2 samples
     freeze_nodes: bool = False      # leave node times and amplitudes fixed
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0 < self.e_bound < 0.5:
-            raise ValueError("e_bound must be in (0, 0.5)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.min_node_gap is not None and not self.min_node_gap > 0:
-            raise ValueError("min_node_gap must be positive")
 
 
 @dataclass
@@ -116,8 +111,7 @@ class FitContext:
     phi1: np.ndarray      # cycles
     t: np.ndarray         # sample times (same grid as target)
     template: WaveShapeModel
-    min_node_gap: float
-    e_bound: float
+    min_node_gap: float   # seconds
     freeze_nodes: bool = False
 
     def free_index(self) -> slice | np.ndarray:
@@ -137,7 +131,7 @@ class FitContext:
         slots, _ = self.template.coefficient_layout()
         for h, s in zip(self.template.harmonics, slots):
             ell = round(float(out[s.c + 1]))
-            out[s.c + 1] = np.clip(out[s.c + 1], ell - self.e_bound, ell + self.e_bound)
+            out[s.c + 1] = np.clip(out[s.c + 1], ell - E_BOUND, ell + E_BOUND)
             times = h.nodes.times.copy()      # fixed edge times from the template
             times[s.nodes] = out[s.times]
             for i in s.nodes:
@@ -194,14 +188,12 @@ def fit(
     phi1 = np.asarray(phi1, dtype=float)
     if phi1.size != len(x_demod):
         raise ValueError("phi1 and signal lengths differ")
-    gap = opts.min_node_gap if opts.min_node_gap is not None else 2.0 / x_demod.fs
     ctx = FitContext(
         target=x_demod.samples,
         phi1=phi1,
         t=x_demod.times(),
         template=init.copy(),
-        min_node_gap=gap,
-        e_bound=opts.e_bound,
+        min_node_gap=MIN_NODE_GAP_SAMPLES / x_demod.fs,
         freeze_nodes=opts.freeze_nodes,
     )
     gamma = ctx.project(init.flatten())
@@ -221,7 +213,7 @@ def fit(
     lam = LAMBDA0
     converged_by = "max_iters"
     iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         # terms are the last synthesized trial's, and a new iteration starts
         # only after a trial was accepted: they are gamma's
         resid, J = residual_and_jacobian(gamma, ctx, terms)

@@ -13,6 +13,7 @@ from tvshape import (
     write_signal_csv,
 )
 from tvshape.cli import EXIT_NO_RESULT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from tvshape.pipeline import RETIRED_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +154,10 @@ def test_config_value_of_the_wrong_type_usage_error(tmp_path, s1_csv, capsys, cf
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["denoise", str(s1_csv), "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
-    assert f"usage error: {field} must be" in capsys.readouterr().err
+    # max_iters and min_node_gap are retired keys, read only at the value they always held
+    retired = f"fit.{field}" in RETIRED_KEYS
+    expected = f"config key 'fit.{field}' is retired" if retired else f"{field} must be"
+    assert f"usage error: {expected}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -236,7 +240,18 @@ def test_out_of_range_fit_option_usage_error(tmp_path, s1_csv, capsys, fit):
     cfg_path.write_text(json.dumps({"fit": fit}))
     out = tmp_path / "out"
     assert main(["denoise", str(s1_csv), "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
-    assert f"usage error: {next(iter(fit))}" in capsys.readouterr().err
+    assert f"usage error: config key 'fit.{next(iter(fit))}' is retired" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fit", [{"max_iters": 100}, {"e_bound": 0.2}, {"min_node_gap": 1e-3}])
+def test_retired_fit_setting_at_another_value_usage_error(tmp_path, s1_csv, capsys, fit):
+    # in range, but the fit runs at the solver's constant: a usage error, not ignored
+    cfg_path = tmp_path / "retired.json"
+    cfg_path.write_text(json.dumps({"fit": fit}))
+    out = tmp_path / "out"
+    assert main(["denoise", str(s1_csv), "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+    assert f"usage error: config key 'fit.{next(iter(fit))}' is retired" in capsys.readouterr().err
     assert not out.exists()
 
 

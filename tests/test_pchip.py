@@ -4,9 +4,10 @@ from scipy.interpolate import PchipInterpolator
 
 from tvshape.pchip import (
     _slopes_and_jacobian,
+    knot_differences,
+    pchip_curve,
     pchip_eval,
     pchip_eval_with_amp_jacobian,
-    pchip_knot_differences,
 )
 
 
@@ -207,7 +208,7 @@ def test_knot_differences_match_full_evaluations_bitwise(rng):
         q = np.concatenate([rng.uniform(t[0], t[-1], 300), t, t[1:-1] + dt, t[1:-1] - dt])
         rng.shuffle(q)
         nodes = np.arange(1, n - 1)
-        rows, cols, vals = pchip_knot_differences(t, y, q, nodes, dt)
+        rows, cols, vals = knot_differences(pchip_curve(t, y, q), nodes, dt)
         D = np.zeros((q.size, nodes.size))
         D[rows, cols] = vals
         for k, i in enumerate(nodes):
@@ -229,7 +230,7 @@ def test_knot_differences_of_a_sorted_query_match_full_evaluations_bitwise(rng):
         y[rng.random(n) < 0.2] = 0.5            # repeated amplitudes: flat slopes
         q = np.sort(np.concatenate([rng.uniform(t[0], t[-1], 300), t, t[1:-1] + dt, t[1:-1] - dt]))
         nodes = np.arange(1, n - 1)
-        rows, cols, vals = pchip_knot_differences(t, y, q, nodes, dt)
+        rows, cols, vals = knot_differences(pchip_curve(t, y, q), nodes, dt)
         assert np.unique(rows * nodes.size + cols).size == rows.size     # each entry once
         D = np.zeros((q.size, nodes.size))
         D[rows, cols] = vals
@@ -244,4 +245,4 @@ def test_knot_differences_of_a_sorted_query_match_full_evaluations_bitwise(rng):
 def test_knot_differences_reject_edge_nodes():
     t = np.array([0.0, 0.5, 1.0])
     with pytest.raises(ValueError):
-        pchip_knot_differences(t, t, t, [0], 1e-3)
+        knot_differences(pchip_curve(t, t, t), [0], 1e-3)

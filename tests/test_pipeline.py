@@ -6,6 +6,7 @@ import pytest
 from tvshape import (
     FitOptions,
     PipelineConfig,
+    RealSignal,
     SyntheticSpec,
     WaveShapeModel,
     add_noise,
@@ -53,7 +54,15 @@ def test_config_dict_roundtrip():
     assert back == cfg
     assert back.fit.freeze_nodes is True
     assert set(d) == {"sigma", "I_f", "delta", "r_max", "fit"}
-    assert set(d["fit"]) == {"max_iters", "e_bound", "min_node_gap", "freeze_nodes"}
+    assert PipelineConfig().to_dict()["fit"] == {"freeze_nodes": False}
+
+
+def test_config_file_with_the_fit_settings_now_constants_loads():
+    # PipelineConfig().to_dict() as written while max_iters, e_bound and
+    # min_node_gap were still FitOptions fields
+    text = ('{"sigma": 0.0001, "I_f": 2.0, "delta": null, "r_max": 8, "fit": {"max_iters": 200, '
+            '"e_bound": 0.1, "min_node_gap": null, "freeze_nodes": false}}')
+    assert PipelineConfig.from_dict(json.loads(text)) == PipelineConfig()
 
 
 # PipelineConfig.to_dict() of a preset as written while the config still had
@@ -95,6 +104,9 @@ RETIRED_OTHER_VALUES = {
     "fit.lambda0": 1e-2,
     "fit.grad_tol": 1e-6,
     "fit.step_tol": 1e-8,
+    "fit.max_iters": 100,
+    "fit.e_bound": 0.2,
+    "fit.min_node_gap": 1e-3,
 }
 
 
@@ -137,13 +149,16 @@ def test_config_rejects_values_of_the_wrong_type(kwargs, field):
      ({"min_node_gap": np.inf}, "min_node_gap")],
 )
 def test_fit_options_reject_values_of_the_wrong_type(kwargs, field):
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        FitOptions(**kwargs)
+    # a fit section value of the wrong type is refused: by FitOptions' type
+    # check, or as a retired key at another value than the one it always had
+    retired = f"fit.{field}" in RETIRED_KEYS
+    with pytest.raises(ValueError, match=f"'fit.{field}' is retired" if retired else f"^{field} must be"):
+        PipelineConfig.from_dict({"fit": kwargs})
 
 
 def test_config_types_accept_numpy_scalars_and_none():
     cfg = PipelineConfig(sigma=np.float64(1e-4), r_max=np.int64(3), delta=None,
-                         fit=FitOptions(max_iters=np.int32(5), min_node_gap=None, freeze_nodes=np.True_))
+                         fit=FitOptions(freeze_nodes=np.True_))
     assert cfg.r_max == 3 and cfg.fit.freeze_nodes
     # stored as Python numbers, so the config writes as JSON and reads back equal
     assert type(cfg.r_max) is int and type(cfg.sigma) is float and cfg.fit.freeze_nodes is True
@@ -274,6 +289,45 @@ def test_segment_checks_the_penalty_before_fitting(cfg, monkeypatch, penalty):
         segment(x, cfg, penalty=penalty)
 
 
+T0_EPOCH = 1.7e9     # an epoch-stamped record: seconds since 1970
+
+
+def _at(x, t0):
+    return RealSignal(x.samples, x.fs, t0)
+
+
+def test_denoise_does_not_depend_on_the_record_start_time(cfg):
+    x, _ = generate(SyntheticSpec("tv_denoise_s1"))
+    noisy = add_noise(x, 10.0, 0)
+    ref = denoise(noisy, cfg)
+    res = denoise(_at(noisy, T0_EPOCH), cfg)
+    assert res.reconstruction.samples.tobytes() == ref.reconstruction.samples.tobytes()
+    assert res.fit_diagnostics == ref.fit_diagnostics
+    for h, h_ref in zip(res.model.harmonics, ref.model.harmonics, strict=True):
+        assert np.array_equal(h.nodes.times, h_ref.nodes.times + T0_EPOCH)
+        assert np.array_equal(h.nodes.amps, h_ref.nodes.amps)
+    for y, y_ref in [(res.reconstruction, ref.reconstruction), (res.lr_reconstruction, ref.lr_reconstruction),
+                     (res.extension.extended, ref.extension.extended)]:
+        assert y.t0 == y_ref.t0 + T0_EPOCH
+        assert np.array_equal(y.samples, y_ref.samples)
+
+
+def test_segment_does_not_depend_on_the_record_start_time(cfg):
+    spec = SyntheticSpec("sharp_transition", params={"t_t": 0.4, "mu": 0.35, "lam": 0.2, "kappa": 50.0, "r": 4})
+    x, _ = generate(spec)
+    noisy = add_noise(x, 15.0, 2)
+    ref = segment(noisy, cfg)
+    res = segment(_at(noisy, T0_EPOCH), cfg)
+    assert ref.t_hat is not None
+    assert abs(res.t_hat - (ref.t_hat + T0_EPOCH)) <= 1e-6
+    assert [ell for ell, _ in res.per_harmonic] == [ell for ell, _ in ref.per_harmonic]
+    for (_, t), (_, t_ref) in zip(res.per_harmonic, ref.per_harmonic):
+        assert abs(t - (t_ref + T0_EPOCH)) <= 1e-6
+    assert all(np.array_equal(res.haf_traces[ell], ref.haf_traces[ell]) for ell in ref.haf_traces)
+    for h, h_ref in zip(res.model.harmonics, ref.model.harmonics, strict=True):
+        assert np.array_equal(h.nodes.times, h_ref.nodes.times + T0_EPOCH)
+
+
 def test_pipeline_deterministic(cfg):
     x, _ = generate(SyntheticSpec("tv_reconstruction"))
     noisy = add_noise(x, 10.0, 11)
@@ -283,7 +337,7 @@ def test_pipeline_deterministic(cfg):
 
 
 def test_stage_errors_carry_stage_tag(cfg):
-    from tvshape import PipelineStageError, RealSignal
+    from tvshape import PipelineStageError
 
     flat = RealSignal(np.full(1000, 3.0) + np.linspace(0, 1e-15, 1000), 2000.0)
     with pytest.raises(PipelineStageError) as err:

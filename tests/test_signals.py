@@ -23,6 +23,13 @@ def test_fs_must_be_finite_and_positive(fs):
         read_signal_csv(io.StringIO("0,1\n0.1,2\n0.2,3\n"), fs=fs)
 
 
+@pytest.mark.parametrize("t0", [float("nan"), float("inf"), -float("inf")])
+def test_t0_must_be_finite(t0):
+    # a NaN start time would otherwise reach the fit as NaN node times
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        RealSignal(np.array([1.0, 2.0]), fs=10.0, t0=t0)
+
+
 def test_times_and_duration():
     s = RealSignal(np.zeros(10), fs=5.0, t0=1.0)
     assert s.duration == 2.0

@@ -9,6 +9,7 @@ from tvshape import (
     FundamentalEstimate,
     HafNodes,
     HarmonicModel,
+    PipelineConfig,
     RealSignal,
     WaveShapeModel,
     fit,
@@ -58,7 +59,6 @@ def _context(model, target=None, n=1200):
         t=np.arange(n) / FS,
         template=model.copy(),
         min_node_gap=2.0 / FS,
-        e_bound=0.1,
     )
 
 
@@ -154,12 +154,13 @@ def test_fit_hands_the_accepted_trial_to_the_jacobian(rng, monkeypatch):
         return synthesize(ctx, gamma, **kwargs)
 
     monkeypatch.setattr(FitContext, "synthesize", counted)
-    fitted, diag = fit(xd, phi1, init, FitOptions(max_iters=50))
+    monkeypatch.setattr(solver, "MAX_ITERS", 50)
+    fitted, diag = fit(xd, phi1, init)
     # the initial model and one call per trial; the trace holds the accepted ones
     assert len(calls) > len(diag.rss_trace)
     jacobian = solver.residual_and_jacobian
     monkeypatch.setattr(solver, "residual_and_jacobian", lambda gamma, ctx, terms=None: jacobian(gamma, ctx))
-    ref, ref_diag = fit(xd, phi1, init, FitOptions(max_iters=50))
+    ref, ref_diag = fit(xd, phi1, init)
     assert fitted.flatten().tobytes() == ref.flatten().tobytes()
     assert diag.rss_trace == ref_diag.rss_trace
 
@@ -240,7 +241,7 @@ def _reference_project(ctx, gamma):
     edge = 2 if ctx.template.extension_map != (0, 0) else 1
     for h in model.harmonics:
         ell = round(h.e)
-        h.e = float(np.clip(h.e, ell - ctx.e_bound, ell + ctx.e_bound))
+        h.e = float(np.clip(h.e, ell - solver.E_BOUND, ell + solver.E_BOUND))
         times = h.nodes.times
         for i in range(edge, len(times) - edge):
             times[i] = max(times[i], times[i - 1] + ctx.min_node_gap)
@@ -301,11 +302,13 @@ def test_freeze_nodes_mask_selects_c_and_e(rng, extension_map):
      ({"max_iters": 0}, "max_iters"), ({"max_iters": -3}, "max_iters"), ({"e_bound": 0.5}, "e_bound")],
 )
 def test_fit_options_reject_out_of_range_values(kwargs, field):
-    with pytest.raises(ValueError, match=field):
-        FitOptions(**kwargs)
+    # the fit section values FitOptions refused before these settings became
+    # solver constants: a config file holding one is still refused
+    with pytest.raises(ValueError, match=f"'fit.{field}' is retired"):
+        PipelineConfig.from_dict({"fit": kwargs})
 
 
-def test_fit_from_ground_truth_converges_fast(recon_signal):
+def test_fit_from_ground_truth_converges_fast(recon_signal, monkeypatch):
     x, gt = recon_signal
     n = len(x)
     fund = FundamentalEstimate(B1=gt.fundamental.b1, phi1=gt.fundamental.phi1, fs=FS)
@@ -319,7 +322,8 @@ def test_fit_from_ground_truth_converges_fast(recon_signal):
     init = WaveShapeModel(r=3, harmonics=harmonics, fundamental=fund)
     # five iterations from the true coefficients suffice to sit far below
     # the 1e-4 relative-RSS tolerance (truth is near-stationary)
-    fitted, diag = fit(xd, gt.fundamental.phi1, init, FitOptions(max_iters=5))
+    monkeypatch.setattr(solver, "MAX_ITERS", 5)
+    fitted, diag = fit(xd, gt.fundamental.phi1, init)
     assert diag.iterations <= 5
     assert diag.final_rss < 1e-4 * np.sum(xd.samples**2)
     assert diag.final_rss <= diag.rss_trace[0]
@@ -336,7 +340,8 @@ def test_fit_r1_nothing_to_fit():
     assert diag.rss_trace == [diag.final_rss]
 
 
-def test_fit_rss_monotone_and_constraints(rng):
+def test_fit_rss_monotone_and_constraints(rng, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERS", 50)
     for trial in range(5):
         model = _random_model(rng, n=800, r=3, n_nodes=5)
         phi1 = _phi(800, fm=2.0)
@@ -344,7 +349,7 @@ def test_fit_rss_monotone_and_constraints(rng):
         target = target + 0.05 * rng.standard_normal(800)
         init = _random_model(rng, n=800, r=3, n_nodes=5)
         xd = RealSignal(target, FS)
-        fitted, diag = fit(xd, phi1, init, FitOptions(max_iters=50))
+        fitted, diag = fit(xd, phi1, init)
         trace = np.array(diag.rss_trace)
         assert np.all(np.diff(trace) <= 0)
         for ell, h in zip((2, 3), fitted.harmonics):
@@ -354,14 +359,15 @@ def test_fit_rss_monotone_and_constraints(rng):
             assert h.nodes.times[-1] == init.harmonics[ell - 2].nodes.times[-1]
 
 
-def test_fit_deterministic(rng):
+def test_fit_deterministic(rng, monkeypatch):
     model = _random_model(rng, n=600, r=2)
     phi1 = _phi(600, fm=2.0)
     target = _context(model, n=600).synthesize(model.flatten()) + 0.01
     xd = RealSignal(target, FS)
     init = _random_model(np.random.default_rng(5), n=600, r=2)
-    f1, d1 = fit(xd, phi1, init, FitOptions(max_iters=30))
-    f2, d2 = fit(xd, phi1, init, FitOptions(max_iters=30))
+    monkeypatch.setattr(solver, "MAX_ITERS", 30)
+    f1, d1 = fit(xd, phi1, init)
+    f2, d2 = fit(xd, phi1, init)
     assert np.array_equal(f1.flatten(), f2.flatten())
     assert d1.rss_trace == d2.rss_trace
 
@@ -385,7 +391,7 @@ def test_fit_improves_rss():
     assert fitted.harmonics[0].e == pytest.approx(2.01, abs=2e-3)
 
 
-def test_frozen_nodes_match_grid_search():
+def test_frozen_nodes_match_grid_search(monkeypatch):
     # with node amplitudes frozen, the 2-parameter optimum per harmonic
     # must match a dense (e, c) grid search within grid resolution
     n = 600
@@ -399,9 +405,8 @@ def test_frozen_nodes_match_grid_search():
     init = WaveShapeModel(
         r=2, harmonics=[HarmonicModel(e=2.0, c=0.0, nodes=nodes)], fundamental=_fund(n)
     )
-    fitted, _ = fit(
-        RealSignal(target, FS), phi1, init, FitOptions(freeze_nodes=True, max_iters=100)
-    )
+    monkeypatch.setattr(solver, "MAX_ITERS", 100)
+    fitted, _ = fit(RealSignal(target, FS), phi1, init, FitOptions(freeze_nodes=True))
 
     def rss(e, c):
         m = np.cos(2 * np.pi * phi1) + alpha * (
@@ -455,7 +460,7 @@ def test_fit_pinned_at_the_box_edge_stops_by_ftol():
     fitted, diag = _pinned_phase_ratio_fit()
     assert fitted.harmonics[0].e == 2.0 + 0.1
     assert diag.converged_by == "ftol"
-    assert diag.iterations <= 50 < FitOptions().max_iters
+    assert diag.iterations <= 50 < solver.MAX_ITERS
     trace = np.array(diag.rss_trace)
     assert trace.size == diag.iterations + 1        # every iteration accepted a step
     assert np.all(np.diff(trace) < 0)
