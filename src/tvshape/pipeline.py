@@ -150,6 +150,11 @@ class PipelineStageError(RuntimeError):
         self.stage = stage
         self.cause = cause
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, the message alone; a process
+        # pool sends a worker's exception back pickled
+        return type(self), (self.stage, self.cause)
+
 
 @dataclass
 class DenoiseResult:
@@ -239,7 +244,11 @@ def _denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool) -> DenoiseR
     ext = _staged(timings, "extend", extend_boundaries, x, c_fwd, c_bwd)
     xe = ext.extended
 
-    spec = _staged(timings, "stft", stft, xe, cfg.sigma)
+    # the ridge walk and the band sums read no higher than r_max harmonics
+    # of the edges' cycle, plus the band half-width and a ridge jump; a
+    # read past that recomputes the spectrogram's full width
+    max_freq = cfg.r_max * x.fs / min(c_fwd, c_bwd) + delta + cfg.max_jump_hz
+    spec = _staged(timings, "stft", stft, xe, cfg.sigma, max_freq)
     fund, ridge = _staged(timings, "fundamental", estimate_fundamental, spec, cfg.max_jump_hz, delta)
     x_dem = _staged(timings, "demodulate", demodulate, xe, fund)
     # estimation sub-stages look at the original support only: the
@@ -265,13 +274,14 @@ def _denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool) -> DenoiseR
         return counts
 
     counts = _staged(timings, "nodes", budget) if r >= 2 else []
+    del spec    # nothing after the node budget reads it: its band goes back to the OS before the fit
     init = _staged(
         timings, "warm_start", warm_start, x_dem, fund.phi1, r, counts,
         (ext.n_pre, ext.n_post), fund,
     )
-    lr_recon = trim(remodulate(evaluate_model(init, fund.phi1), fund), ext)
+    lr_recon = trim(remodulate(evaluate_model(init, fund.phi1, xe.t0), fund), ext)
     model, diag = _staged(timings, "fit", fit, x_dem, fund.phi1, init, cfg.fit)
-    recon_ext = _staged(timings, "synthesize", evaluate_model, model, fund.phi1)
+    recon_ext = _staged(timings, "synthesize", evaluate_model, model, fund.phi1, xe.t0)
     recon = trim(remodulate(recon_ext, fund), ext)
 
     metrics = None

@@ -11,12 +11,20 @@ The frequency grid is capped: nfft covers the record only up to
 GRID_WINDOWS truncated windows, so beyond that length the spectrogram's
 memory and FFT time grow linearly in the number of samples.
 
-The two passes over every spectrogram entry, the FFT of the frames in
-`stft` and the global-|F| search for the ridge's anchor (`ridge_anchor`),
-split the frame rows into one contiguous span per CPU the process may run
-on and run the spans on threads (numpy's FFT and ufunc loops release the
-GIL). The calling thread allocates every block buffer before the threads
-start, one per worker, with BLOCK_ELEMENTS shared among them: a buffer a
+`stft` makes one pass over the frames: it splits the frame rows into one
+contiguous span per CPU the process may run on and runs the spans on
+threads (numpy's FFT and ufunc loops release the GIL). Each block of
+frames is transformed over every bin into its worker's buffers; |F| of
+the block gives its first maximum, and the blocks' maxima combine into
+the ridge's anchor, the first global |F| maximum. Only the bins up to the
+caller's max_freq are then copied out and stored, in an anonymous memory
+map whose pages go back to the OS when the spectrogram is dropped. The
+ridge walk and the band sums read through `Spectrogram.bins`: a read past
+the stored band recomputes the full-width transform once, by the same
+pass, and serves every later read from it.
+
+The calling thread allocates every block buffer before the threads start,
+one set per worker, with BLOCK_ELEMENTS shared among them: a buffer a
 worker thread allocated itself would stay resident in that thread's
 malloc arena. Each call opens its own pool and joins it before returning,
 so no pool is left for a forked child (the bench's process pool) to
@@ -27,10 +35,12 @@ CPU count.
 
 from __future__ import annotations
 
+import mmap
 import os
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +48,7 @@ from .signals import RealSignal
 
 WINDOW_TRUNCATION = 1e-8
 GRID_WINDOWS = 4               # nfft stops growing with N past this many windows
-BLOCK_ELEMENTS = 1_000_000     # spectrogram entries handled per block of frames (8 MB of buffers)
+BLOCK_ELEMENTS = 262_144       # frame samples transformed per block of frames, all workers (5 MB of buffers)
 _RIDGE_BLOCK = 256             # ridge frames stepped at once
 
 
@@ -51,15 +61,42 @@ class ResolutionError(ValueError):
 
 @dataclass
 class Spectrogram:
-    """Complex STFT matrix indexed [time sample][frequency bin], hop 1."""
+    """Complex STFT matrix indexed [time sample][frequency bin], hop 1.
 
-    values: np.ndarray            # (N, n_bins) complex
-    freq_axis: np.ndarray         # Hz, strictly increasing, max fs/2
+    values may hold only the low bins 0..K-1 of the nfft/2+1 on freq_axis;
+    read bins through `bins`, which recomputes the rest when asked for
+    them. anchor is the (frame, bin) of the first |F| maximum over all
+    bins in time-major order, None when every entry is zero; a spectrogram
+    built by hand without one takes it from values.
+    """
+
+    values: np.ndarray            # (N, K) complex, bins 0..K-1
+    freq_axis: np.ndarray         # Hz, all nfft/2+1 bins, strictly increasing, max fs/2
     fs: float
     window_norm: float            # ||g||_2
     window_halfwidth: int         # samples, truncation at 1e-8
     nfft: int
     window_coverage: np.ndarray   # in-record window mass per frame
+    anchor: tuple[int, int] | None = None
+    full_width: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.anchor is None:
+            mag = np.abs(self.values)
+            k = int(np.argmax(mag))
+            if mag.flat[k] > 0:
+                self.anchor = divmod(k, mag.shape[1])
+
+    def bins(self, stop: int) -> np.ndarray:
+        """Values holding at least bins 0..stop-1: the stored band when it
+        reaches that far, else the full-width transform, recomputed once by
+        `full_width`, which replaces the band for every later read."""
+        if stop > self.values.shape[1]:
+            if self.full_width is None:
+                raise ValueError(f"bin {stop - 1} lies past the {self.values.shape[1]} stored bins")
+            self.values = self.full_width()
+            self.full_width = None
+        return self.values
 
     @property
     def n_times(self) -> int:
@@ -115,26 +152,27 @@ def worker_count(n_rows: int) -> int:
     return max(1, min(cpus, n_rows))
 
 
-def _map_blocks(fn, n_rows: int, width: int) -> list:
-    """[fn(buf, start, stop) for every block of rows start:stop], in row order.
+def _map_blocks(fn, n_rows: int, width: int, alloc) -> list:
+    """[fn(bufs, start, stop) for every block of rows start:stop], in row order.
 
     The rows split into one contiguous span per worker (`worker_count`), and
     each span is walked in blocks of at most BLOCK_ELEMENTS / workers
-    entries of `width` columns. buf is its worker's (stop - start, width)
-    float buffer: zeroed at the start and holding whatever fn wrote to it
-    in the worker's previous blocks. The calling thread allocates every
-    buffer before the pool starts and the pool is joined before returning.
+    entries of `width` columns. bufs are the first stop - start rows of the
+    arrays of its worker's alloc(rows) tuple, holding whatever fn wrote to
+    them in the worker's previous blocks. The calling thread allocates every
+    worker's arrays before the pool starts and the pool is joined before
+    returning.
     """
     workers = worker_count(n_rows)
     bounds = [n_rows * w // workers for w in range(workers + 1)]
     chunk = max(1, min(-(-n_rows // workers), BLOCK_ELEMENTS // (workers * width)))
-    bufs = [np.zeros((chunk, width)) for _ in range(workers)]
+    bufs = [alloc(chunk) for _ in range(workers)]
 
     def walk_span(w: int) -> list:
         out = []
         for start in range(bounds[w], bounds[w + 1], chunk):
             stop = min(start + chunk, bounds[w + 1])
-            out.append(fn(bufs[w][: stop - start], start, stop))
+            out.append(fn(tuple(b[: stop - start] for b in bufs[w]), start, stop))
         return out
 
     if workers == 1:
@@ -143,34 +181,76 @@ def _map_blocks(fn, n_rows: int, width: int) -> list:
         return [r for span in pool.map(walk_span, range(workers)) for r in span]
 
 
-def stft(x: RealSignal, sigma: float) -> Spectrogram:
+def _band_store(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised (rows, cols) complex array in an anonymous memory
+    map, whose pages go back to the OS as soon as the array is dropped:
+    glibc keeps a freed block under its 32 MB mmap threshold on the heap."""
+    count = rows * cols
+    buf = mmap.mmap(-1, max(1, count * np.dtype(complex).itemsize))
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=complex, count=count).reshape(rows, cols)
+
+
+def _transform(samples: np.ndarray, g: np.ndarray, half: int, nfft: int,
+               keep: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Bins 0..keep-1 of every frame's windowed FFT, and the (frame, bin) of
+    the first |F| maximum over all bins in time-major order (None if all
+    are zero).
+
+    Each block's |F| is taken as it leaves the FFT; the blocks' maxima are
+    combined in row order with a strict >, so a tie anchors at the earliest
+    frame whatever the block and span boundaries.
+    """
+    n_rows, n_bins = samples.size, nfft // 2 + 1
+    padded = np.concatenate([np.zeros(half), samples, np.zeros(half)])
+    frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+    values = _band_store(n_rows, keep)
+
+    def alloc(rows: int) -> tuple:
+        return np.zeros((rows, nfft)), np.empty((rows, n_bins), complex), np.empty((rows, n_bins))
+
+    def transform(bufs: tuple, start: int, stop: int) -> tuple[float, int]:
+        b, spectrum, mag = bufs
+        # window-centered phase: g's center goes to FFT index 0 and its left
+        # half wraps to the end; the middle of b is never written, so stays 0
+        np.multiply(frames[start:stop, half:], g[half:], out=b[:, : half + 1])
+        np.multiply(frames[start:stop, :half], g[:half], out=b[:, nfft - half :])
+        np.fft.rfft(b, axis=1, out=spectrum)
+        values[start:stop] = spectrum[:, :keep]
+        np.abs(spectrum, out=mag)
+        k = int(np.argmax(mag))
+        return mag.flat[k], start * n_bins + k
+
+    best, flat = 0.0, 0
+    for block_best, k in _map_blocks(transform, n_rows, nfft, alloc):
+        if block_best > best:
+            best, flat = block_best, k
+    return values, (divmod(flat, n_bins) if best > 0 else None)
+
+
+def stft(x: RealSignal, sigma: float, max_freq: float | None = None) -> Spectrogram:
     """Per-sample-hop Gaussian-window STFT with one-sided frequency axis.
 
     The FFT length is `fft_length(N, 2*half + 1)`: it follows the record up
     to GRID_WINDOWS truncated windows and is fixed by the window beyond, so
-    memory and FFT time are linear in N.
+    memory and FFT time are linear in N. Only the bins at or below max_freq
+    Hz (at least DC) are stored; None stores every bin. The anchor is
+    found over every bin either way.
     """
     g, half = gaussian_window(sigma)
     if 2 * half + 1 < 8:
         raise ResolutionError(
             f"sigma={sigma:g} leaves a window of {2 * half + 1} samples, under 8; lower sigma"
         )
+    if max_freq is not None and not max_freq >= 0:
+        raise ValueError(f"max_freq must be non-negative, got {max_freq}")
     N = len(x)
     nfft = fft_length(N, 2 * half + 1)
-
-    padded = np.concatenate([np.zeros(half), x.samples, np.zeros(half)])
-    frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-    values = np.empty((N, nfft // 2 + 1), dtype=complex)
-
-    def transform(b: np.ndarray, start: int, stop: int) -> None:
-        # window-centered phase: g's center goes to FFT index 0 and its left
-        # half wraps to the end; the middle of b is never written, so stays 0
-        np.multiply(frames[start:stop, half:], g[half:], out=b[:, : half + 1])
-        np.multiply(frames[start:stop, :half], g[:half], out=b[:, nfft - half :])
-        np.fft.rfft(b, axis=1, out=values[start:stop])
-
-    _map_blocks(transform, N, nfft)
     freq_axis = np.arange(nfft // 2 + 1) * (x.fs / nfft)
+    n_bins = freq_axis.size
+    keep = n_bins if max_freq is None else max(1, int(np.searchsorted(freq_axis, max_freq, side="right")))
+    values, anchor = _transform(x.samples, g, half, nfft, keep)
     # fraction of the window mass falling inside the record, per frame
     cg = np.concatenate([[0.0], np.cumsum(g)])
     n_idx = np.arange(N)
@@ -185,31 +265,9 @@ def stft(x: RealSignal, sigma: float) -> Spectrogram:
         window_halfwidth=half,
         nfft=nfft,
         window_coverage=coverage,
+        anchor=anchor,
+        full_width=None if keep == n_bins else lambda: _transform(x.samples, g, half, nfft, n_bins)[0],
     )
-
-
-def ridge_anchor(values: np.ndarray) -> tuple[int, int]:
-    """(frame, bin) of the first maximum of |values| in time-major order.
-
-    |F| is taken one block of frames at a time, the blocks split among
-    threads; the blocks' maxima are combined in row order with a strict >,
-    so a tie anchors at the earliest frame whatever the block and span
-    boundaries.
-    """
-    n_freq = values.shape[1]
-
-    def block_max(b: np.ndarray, start: int, stop: int) -> tuple[float, int]:
-        mag = np.abs(values[start:stop], out=b)
-        k = int(np.argmax(mag))
-        return mag.flat[k], start * n_freq + k
-
-    best, flat = 0.0, 0
-    for block_best, k in _map_blocks(block_max, values.shape[0], n_freq):
-        if block_best > best:
-            best, flat = block_best, k
-    if not best > 0:
-        raise ValueError("all-zero spectrogram")
-    return flat // n_freq, flat % n_freq
 
 
 def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
@@ -227,23 +285,24 @@ def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
             f"max jump I_f={max_jump_hz:g} Hz is below one bin width {spec.bin_width:.4g} Hz"
             f" at fs={spec.fs:g} Hz (nfft={spec.nfft}); raise I_f or lower sigma"
         )
-    values = spec.values
-    n_time = values.shape[0]
-    anchor_t, anchor_f = ridge_anchor(values)
+    if spec.anchor is None:
+        raise ValueError("all-zero spectrogram")
+    n_time = spec.n_times
+    anchor_t, anchor_f = spec.anchor
 
     jump_bins = max(1, int(np.floor(max_jump_hz / spec.bin_width)))
     idx = np.empty(n_time, dtype=int)
     idx[anchor_t] = anchor_f
     forward = np.arange(anchor_t + 1, n_time)
     backward = np.arange(anchor_t - 1, -1, -1)
-    idx[forward] = _walk(values, anchor_f, forward, jump_bins)
-    idx[backward] = _walk(values, anchor_f, backward, jump_bins)
+    idx[forward] = _walk(spec, anchor_f, forward, jump_bins)
+    idx[backward] = _walk(spec, anchor_f, backward, jump_bins)
     return Ridge(freq=spec.freq_axis[idx])
 
 
-def _walk(values: np.ndarray, start: int, frames: np.ndarray, jump: int) -> np.ndarray:
+def _walk(spec: Spectrogram, start: int, frames: np.ndarray, jump: int) -> np.ndarray:
     """Bins of frames[0], frames[1], ... in turn, each the first maximum of
-    |values| in its frame over [p - jump, p + jump] (clipped to the band),
+    |F| in its frame over [p - jump, p + jump] (clipped to the band),
     p the previous frame's bin and start the bin before frames[0].
 
     A block of up to _RIDGE_BLOCK frames starts from a guess, every frame
@@ -255,11 +314,10 @@ def _walk(values: np.ndarray, start: int, frames: np.ndarray, jump: int) -> np.n
     exact predecessor. A sweep reads each frame's corridor at the fixed
     width min(2 * jump + 1, n_freq) and sets the entries outside the
     clipped corridor below zero, so argmax finds the per-frame first
-    maximum.
+    maximum. Each sweep reads its corridors through `Spectrogram.bins`.
     """
-    n_freq = values.shape[1]
+    n_freq = spec.freq_axis.size
     width = min(2 * jump + 1, n_freq)
-    bands = np.lib.stride_tricks.sliding_window_view(values, width, axis=1)
     offsets = np.arange(width)
     out = np.empty(frames.size, dtype=int)
     for b0 in range(0, frames.size, _RIDGE_BLOCK):
@@ -272,6 +330,8 @@ def _walk(values: np.ndarray, start: int, frames: np.ndarray, jump: int) -> np.n
             a = np.maximum(pred - jump, 0)
             b = np.minimum(pred + jump + 1, n_freq)
             lo = np.minimum(a, n_freq - width)          # [a, b) lies in [lo, lo + width)
+            values = spec.bins(int(lo.max()) + width)
+            bands = np.lib.stride_tricks.sliding_window_view(values, width, axis=1)
             mag = np.abs(bands[rows[fixed:], lo])
             mag[(offsets < (a - lo)[:, None]) | (offsets >= (b - lo)[:, None])] = -1.0
             step = lo + np.argmax(mag, axis=1)
@@ -307,16 +367,18 @@ def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.nd
     hi = np.clip(hi, lo, n_freq)
     # one-sided doubling: weight 2 everywhere except DC and Nyquist. The
     # frames whose band holds w bins are summed together: indexing a
-    # width-w sliding view by (frame, lo) copies out only their bands.
+    # width-w sliding view by (frame, lo) copies out only their bands. A
+    # band that reaches Nyquist reads the full width, whose last bin it is.
+    values = spec.bins(int(hi.max(initial=0)))
     out = np.empty(spec.n_times, dtype=complex)
     width = hi - lo
     for w in np.unique(width):
         rows = np.flatnonzero(width == w)
-        bands = np.lib.stride_tricks.sliding_window_view(spec.values, w, axis=1)
+        bands = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
         out[rows] = 2.0 * bands[rows, lo[rows]].sum(axis=1)
     dc, nyquist = lo == 0, hi == n_freq
-    out[dc] -= spec.values[dc, 0]
-    out[nyquist] -= spec.values[nyquist, -1]
+    out[dc] -= values[dc, 0]
+    out[nyquist] -= values[nyquist, -1]
     out /= spec.nfft
     out /= spec.window_coverage
     return out
@@ -327,7 +389,7 @@ def full_band_resynthesis(spec: Spectrogram) -> np.ndarray:
     w = np.full(spec.freq_axis.size, 2.0)
     w[0] = 1.0
     w[-1] = 1.0
-    return (spec.values @ w).real / spec.nfft
+    return (spec.bins(w.size) @ w).real / spec.nfft
 
 
 @dataclass
@@ -384,7 +446,7 @@ def noise_sigma_estimate(spec: Spectrogram) -> float:
     a generic bin carries half the coefficient variance); the matching
     sqrt(2) reappears in the denoising threshold.
     """
-    med = float(np.median(np.abs(spec.values.real)))
+    med = float(np.median(np.abs(spec.bins(spec.freq_axis.size).real)))
     return med / (0.6745 * spec.window_norm)
 
 

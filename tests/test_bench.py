@@ -1,12 +1,13 @@
 import faulthandler
 import importlib
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from tvshape import RealSignal, preset, stft
-from tvshape.bench import BenchSpec, run_bench, write_bench_outputs
+from tvshape import PipelineStageError, RealSignal, preset, stft
+from tvshape.bench import BenchSpec, _run_cells, run_bench, write_bench_outputs
 
 stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
@@ -37,6 +38,24 @@ def test_process_pool_returns_the_sequential_result(cfg):
     # two cells per process; the pool must hand back what the loop computes
     kw = dict(experiment="segmentation", snr_levels=[10.0, 20.0], n_realizations=2, seed=4, config=cfg)
     assert run_bench(BenchSpec(n_jobs=2, **kw)) == run_bench(BenchSpec(n_jobs=1, **kw))
+
+
+def _failing_cell(stage):
+    raise PipelineStageError(stage, ValueError("x"))
+
+
+def test_stage_error_survives_a_process_pool():
+    back = pickle.loads(pickle.dumps(PipelineStageError("fit", ValueError("x"))))
+    assert back.stage == "fit" and repr(back.cause) == "ValueError('x')"
+    assert str(back) == "stage 'fit' failed: x"
+    # a cell's error comes back from its worker process with its stage
+    faulthandler.dump_traceback_later(FORK_TIMEOUT_S, exit=True)
+    try:
+        with pytest.raises(PipelineStageError) as err:
+            _run_cells(_failing_cell, ["nodes", "fit"], n_jobs=2)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert err.value.stage == "nodes" and isinstance(err.value.cause, ValueError)
 
 
 def test_process_pool_forked_after_a_threaded_stft(cfg, monkeypatch):

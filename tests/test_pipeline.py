@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -19,6 +20,8 @@ from tvshape import (
     snr_out,
 )
 from tvshape.pipeline import RETIRED_KEYS
+
+pipeline_module = importlib.import_module("tvshape.pipeline")
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +329,41 @@ def test_segment_does_not_depend_on_the_record_start_time(cfg):
     assert all(np.array_equal(res.haf_traces[ell], ref.haf_traces[ell]) for ell in ref.haf_traces)
     for h, h_ref in zip(res.model.harmonics, ref.model.harmonics, strict=True):
         assert np.array_equal(h.nodes.times, h_ref.nodes.times + T0_EPOCH)
+
+
+@pytest.mark.parametrize("t0", [0.0, 7.0])
+def test_reconstructions_sit_on_the_record_axis(cfg, noiseless_result, t0):
+    # a fundamental-only model has no node times to start its grid from
+    t = np.arange(2000) / 2000.0
+    res = denoise(RealSignal(np.cos(2 * np.pi * 40 * t), 2000.0, t0), cfg)
+    assert res.model.r == 1
+    assert res.reconstruction.t0 == res.lr_reconstruction.t0 == t0
+    x, _, res = noiseless_result
+    assert res.model.r >= 2
+    assert res.reconstruction.t0 == res.lr_reconstruction.t0 == x.t0
+
+
+def test_ecg_record_stores_a_low_band_of_its_spectrogram(monkeypatch):
+    # built as acceptance criterion 6 builds its ECG-class record
+    fs = 250.0
+    t = np.arange(int(24 * fs)) / fs
+    phi = 1.8 * t + 0.05 / (2 * np.pi) * np.sin(2 * np.pi * 0.2 * t)
+    wave = sum(a * np.cos(2 * np.pi * ell * phi) for ell, a in ((1, 1.0), (2, 0.8), (3, 0.55), (4, 0.3)))
+    ecg = (1 + 0.1 * np.sin(2 * np.pi * 0.05 * t)) * wave
+    made = []
+    real_stft = pipeline_module.stft
+
+    def recording_stft(*args):
+        spec = real_stft(*args)
+        made.append((spec, spec.values.shape[1]))
+        return spec
+
+    monkeypatch.setattr(pipeline_module, "stft", recording_stft)
+    denoise(add_noise(RealSignal(ecg - ecg.mean(), fs), 10.0, 1), preset("ecg", r_max=6))
+    ((spec, stored),) = made
+    assert stored <= 0.15 * spec.freq_axis.size
+    # every read stayed inside the band: nothing was recomputed
+    assert spec.values.shape[1] == stored and spec.full_width is not None
 
 
 def test_pipeline_deterministic(cfg):

@@ -26,7 +26,6 @@ from tvshape.stft import (
     full_band_resynthesis,
     gaussian_window,
     noise_sigma_estimate,
-    ridge_anchor,
     threshold_coefficients,
 )
 
@@ -136,7 +135,12 @@ def _reference_ridge(spec, max_jump_hz):
     return spec.freq_axis[idx]
 
 
-@pytest.mark.parametrize("block", [1, 7, 5000, stft_module.BLOCK_ELEMENTS])
+# block sizes from one frame per block, through the default, to one
+# block larger than any record here
+BLOCKS = sorted({1, 7, 5000, stft_module.BLOCK_ELEMENTS, 1_000_000})
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 def test_ridge_matches_full_magnitude_search(monkeypatch, block):
     monkeypatch.setattr(stft_module, "BLOCK_ELEMENTS", block)
     x, _ = generate(SyntheticSpec("tv_reconstruction"))
@@ -216,24 +220,45 @@ def _tied_spectrogram(first_bin, second_bin):
                        nfft=38, window_coverage=np.ones(6))
 
 
-@pytest.mark.parametrize("block", [1, 7, 5000, stft_module.BLOCK_ELEMENTS])
+TWIN_GAP = 2000     # samples between the twin bursts, more than a SIGMA window
+
+
+def _twin_bursts(n=3000, first=400):
+    """Two identical 300 Hz bursts TWIN_GAP samples apart in silence: the
+    frames at the same offset from either burst window the same numbers, so
+    their |F| ties exactly. Split among two or three workers, or into
+    blocks, the two bursts fall in different spans and blocks."""
+    burst = np.hanning(40) * np.cos(2 * np.pi * 300.0 * np.arange(40) / FS)
+    x = np.zeros(n)
+    x[first : first + 40] = x[first + TWIN_GAP : first + TWIN_GAP + 40] = burst
+    return RealSignal(x, FS)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 def test_spectrogram_and_ridge_byte_equal_for_any_worker_count(monkeypatch, block):
     monkeypatch.setattr(stft_module, "BLOCK_ELEMENTS", block)
     x, _ = generate(SyntheticSpec("tv_reconstruction"))
     noisy = add_noise(x, 0.0, 1)
-    tied = [_tied_spectrogram(3, 15), _tied_spectrogram(15, 3)]
     outputs = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(stft_module, "worker_count", lambda n_rows, w=workers: min(w, n_rows))
         spec = stft(noisy, SIGMA)
-        outputs[workers] = [spec.values.tobytes(), ridge_anchor(spec.values),
-                            extract_ridge(spec, 2.0).freq.tobytes()]
-        outputs[workers] += [(ridge_anchor(t.values), extract_ridge(t, 2.0).freq.tobytes()) for t in tied]
+        twins = stft(_twin_bursts(), SIGMA)
+        outputs[workers] = [spec.values.tobytes(), spec.anchor, extract_ridge(spec, 2.0).freq.tobytes(),
+                            twins.values.tobytes(), twins.anchor]
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
-    # the earlier frame of a tie anchors, whichever bin either sits in
-    assert outputs[1][3][0] == (1, 3)
-    assert outputs[1][4][0] == (1, 15)
+    mag = np.abs(spec.values)
+    assert spec.anchor == np.unravel_index(np.argmax(mag), mag.shape)
+    # the twin bursts tie at the global maximum: the earlier frame anchors
+    t, f = twins.anchor
+    mag = np.abs(twins.values)
+    assert mag[t, f] == mag[t + TWIN_GAP, f] == mag.max()
+    assert (t, f) == np.unravel_index(np.argmax(mag), mag.shape)
+    # a spectrogram built by hand takes its anchor from its values: the
+    # earlier frame of a tie, whichever bin either sits in
+    assert _tied_spectrogram(3, 15).anchor == (1, 3)
+    assert _tied_spectrogram(15, 3).anchor == (1, 15)
 
 
 def test_worker_count_follows_the_cpus_the_process_may_use(monkeypatch):
@@ -259,15 +284,67 @@ def test_pool_has_at_most_one_thread_per_row_and_ends_with_the_call(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     threads = threading.active_count()
     spec = stft(_tone(n=3), SIGMA)
-    anchor = ridge_anchor(spec.values)
-    assert opened == [3, 3]
+    assert opened == [3]        # one pass: the anchor is found by the transform
     assert threading.active_count() == threads
     # one CPU: the plain loop, no pool, the same output
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     single = stft(_tone(n=3), SIGMA)
-    assert ridge_anchor(single.values) == anchor
+    assert single.anchor == spec.anchor
     assert single.values.tobytes() == spec.values.tobytes()
-    assert opened == [3, 3]
+    assert opened == [3]
+
+
+@pytest.mark.parametrize("max_freq", [0.0, 45.0, 300.0, FS / 2, 5 * FS])
+def test_stored_band_is_the_leading_columns_of_the_full_band(max_freq):
+    x, _ = generate(SyntheticSpec("tv_reconstruction"))
+    noisy = add_noise(x, 0.0, 1)
+    full = stft(noisy, SIGMA)
+    band = stft(noisy, SIGMA, max_freq)
+    keep = max(1, np.count_nonzero(full.freq_axis <= max_freq))     # DC alone at 0 Hz
+    assert band.values.shape == (full.n_times, keep)
+    assert band.values.tobytes() == full.values[:, :keep].tobytes()
+    assert band.freq_axis.tobytes() == full.freq_axis.tobytes()
+    # the anchor is found over every bin, stored or not
+    assert band.anchor == full.anchor
+
+
+@pytest.mark.parametrize("max_freq", [-1.0, np.nan])
+def test_negative_or_nan_max_freq_rejected(max_freq):
+    with pytest.raises(ValueError, match="max_freq"):
+        stft(_tone(), SIGMA, max_freq)
+
+
+@pytest.mark.filterwarnings("ignore:reconstruction band clipped")
+def test_reads_past_the_stored_band_equal_the_full_band():
+    t = np.arange(4000) / FS
+    # a 40 -> 120 Hz chirp, loudest at its start: the ridge anchors inside
+    # a 60 Hz band and climbs out of it
+    x = RealSignal(np.exp(-t) * np.cos(2 * np.pi * (40 * t + 20 * t**2)), FS)
+    full = stft(x, SIGMA)
+    ridge = extract_ridge(full, 2.0)
+    band = stft(x, SIGMA, 60.0)
+    keep = band.values.shape[1]
+    assert full.freq_axis[band.anchor[1]] < 60.0 < ridge.freq.max()
+    assert extract_ridge(band, 2.0).freq.tobytes() == ridge.freq.tobytes()
+    assert band.values.shape[1] > keep and band.full_width is None      # recomputed once
+    assert band.values.tobytes() == full.values.tobytes()
+    # a read inside the band keeps it
+    covering = stft(x, SIGMA, 150.0)
+    keep = covering.values.shape[1]
+    assert extract_ridge(covering, 2.0).freq.tobytes() == ridge.freq.tobytes()
+    assert covering.values.shape[1] == keep
+    # a harmonic band past the stored one, and a band reaching Nyquist,
+    # whose last bin is read
+    delta = default_band_halfwidth(SIGMA, FS)
+    for freq in (3 * ridge.freq, np.full(ridge.freq.size, FS / 2 - delta / 2)):
+        covering = stft(x, SIGMA, 150.0)
+        y = vertical_reconstruct(covering, Ridge(freq=freq), delta)
+        assert covering.values.shape[1] == full.freq_axis.size
+        assert y.tobytes() == vertical_reconstruct(full, Ridge(freq=freq), delta).tobytes()
+    # a band built by hand has no record to recompute its missing bins from
+    hand = Spectrogram(full.values[:, :5], full.freq_axis, FS, 1.0, 1, full.nfft, np.ones(full.n_times))
+    with pytest.raises(ValueError, match="past the 5 stored bins"):
+        vertical_reconstruct(hand, ridge, delta)
 
 
 def _uncapped_fft_length(n, window_length):
