@@ -10,18 +10,19 @@ from .model import HafNodes, HarmonicModel, WaveShapeModel
 from .signals import RealSignal
 from .stft import FundamentalEstimate
 
+ENERGY_FRACTION = 0.9   # share of the envelope's spectral energy the node budget resolves
+
 
 def estimate_node_count(
     harmonic_complex: np.ndarray,
     fs: float,
-    energy_fraction: float = 0.9,
     max_nodes: int | None = None,
 ) -> int:
     """Node budget for one harmonic amplitude function.
 
     The envelope |y_l(t)| is treated as a band-limited signal: its
     one-sided spectral energy is accumulated until it reaches
-    energy_fraction, giving a bandwidth in cycles over the record, and the
+    ENERGY_FRACTION, giving a bandwidth in cycles over the record, and the
     node count is 2*bandwidth + 1 (sampling-theorem rate), clamped to
     [2, max_nodes].
     """
@@ -36,7 +37,7 @@ def estimate_node_count(
         weights[-1] = 1.0
     energy = spectrum * weights
     cse = np.cumsum(energy) / energy.sum()
-    k = int(np.searchsorted(cse, energy_fraction))
+    k = int(np.searchsorted(cse, ENERGY_FRACTION))
     duration = env.size / fs
     bw_hz = k * (fs / env.size)
     count = int(np.ceil(2.0 * bw_hz * duration)) + 1
@@ -55,7 +56,7 @@ def harmonic_design(phi1: np.ndarray, orders) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def rss_order_criterion(n: int, rss: float, r: int, energy: float = 1.0) -> float:
+def rss_order_criterion(n: int, rss: float, r: int, energy: float) -> float:
     """Penalized residual criterion: n*ln(rss/n) + 2r*ln(n).
 
     rss is floored at a round-off fraction of the signal energy so exact

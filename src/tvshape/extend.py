@@ -19,6 +19,7 @@ from .signals import RealSignal
 
 MIN_LAG = 4             # shortest period in samples the autocorrelation peak search considers
 EXTENSION_FACTOR = 0.1  # forecast samples added per side, as a fraction of the record
+AR_ORDER = 4            # lags of the seasonal-difference autoregression
 
 
 @dataclass
@@ -74,7 +75,7 @@ def _catmull_rom(arr, b: int, f: float) -> float:
     )
 
 
-def _seasonal_ar_forecast(w: np.ndarray, season: float, n_ahead: int, order: int = 4) -> np.ndarray:
+def _seasonal_ar_forecast(w: np.ndarray, season: float, n_ahead: int) -> np.ndarray:
     """Forecast n_ahead samples from the tail window w (3 seasons long).
 
     Seasonal differencing supports a fractional period (the value one
@@ -84,8 +85,7 @@ def _seasonal_ar_forecast(w: np.ndarray, season: float, n_ahead: int, order: int
     m = w.size
     start = int(np.ceil(season)) + 1
     z = np.array([w[t] - _cubic_at(w, t - season) for t in range(start, m)])
-    if z.size <= order:
-        order = max(1, z.size - 1)
+    order = min(AR_ORDER, max(1, z.size - 1))
     rows = np.array([z[i - order : i][::-1] for i in range(order, z.size)])
     targets = z[order:]
     # small ridge keeps the fit tame when the seasonal difference is tiny

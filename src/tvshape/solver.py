@@ -80,6 +80,8 @@ def check_field_types(cfg) -> None:
 
 @dataclass
 class FitOptions:
+    """The solver's frozen-node mode; only its tests set it."""
+
     freeze_nodes: bool = False      # leave node times and amplitudes fixed
 
     def __post_init__(self):
@@ -143,13 +145,12 @@ class FitContext:
             out[s.times] = times[s.nodes]
         return out
 
-    def synthesize(self, gamma: np.ndarray, with_terms: bool = False):
-        """The model at gamma; with_terms: (model, the harmonic terms it was
-        built from), which `residual_and_jacobian` takes at the same gamma."""
+    def synthesize(self, gamma: np.ndarray) -> tuple[np.ndarray, list[HarmonicTerms]]:
+        """The model at gamma and the harmonic terms it was built from, which
+        `residual_and_jacobian` takes at the same gamma."""
         model = self.template.unflatten(gamma)
         terms = harmonic_terms(model, self.phi1, self.t)
-        synth = synthesize(model, self.phi1, self.t, terms=terms)[0]
-        return (synth, terms) if with_terms else synth
+        return synthesize(model, self.phi1, self.t, terms=terms)[0], terms
 
 
 def residual_and_jacobian(
@@ -159,7 +160,7 @@ def residual_and_jacobian(
 
     The jacobian is the negated model jacobian of `model.synthesize`, with
     free node times differenced centrally at a tenth of the node gap.
-    terms, if given, are those `ctx.synthesize(gamma, with_terms=True)`
+    terms, if given, are those `ctx.synthesize(gamma)`
     returned at this very gamma (the fit's accepted trial); they are reused
     and the result is the same bit for bit.
     """
@@ -197,7 +198,7 @@ def fit(
         freeze_nodes=opts.freeze_nodes,
     )
     gamma = ctx.project(init.flatten())
-    synth, terms = ctx.synthesize(gamma, with_terms=True)
+    synth, terms = ctx.synthesize(gamma)
     resid = ctx.target - synth
     if not np.all(np.isfinite(resid)):
         bad = [i for i, v in enumerate(gamma) if not np.isfinite(v)]
@@ -235,7 +236,7 @@ def fit(
                 trial = gamma.copy()
                 trial[free] += delta
                 trial = ctx.project(trial)
-                synth, terms = ctx.synthesize(trial, with_terms=True)
+                synth, terms = ctx.synthesize(trial)
                 r_t = ctx.target - synth
                 rss_t = float(r_t @ r_t) if np.all(np.isfinite(r_t)) else np.inf
                 if rss_t < rss:

@@ -66,8 +66,8 @@ class Spectrogram:
     values may hold only the low bins 0..K-1 of the nfft/2+1 on freq_axis;
     read bins through `bins`, which recomputes the rest when asked for
     them. anchor is the (frame, bin) of the first |F| maximum over all
-    bins in time-major order, None when every entry is zero; a spectrogram
-    built by hand without one takes it from values.
+    bins in time-major order, None when every entry is zero; `stft` finds
+    it in its FFT pass.
     """
 
     values: np.ndarray            # (N, K) complex, bins 0..K-1
@@ -77,15 +77,8 @@ class Spectrogram:
     window_halfwidth: int         # samples, truncation at 1e-8
     nfft: int
     window_coverage: np.ndarray   # in-record window mass per frame
-    anchor: tuple[int, int] | None = None
+    anchor: tuple[int, int] | None
     full_width: Callable[[], np.ndarray] | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.anchor is None:
-            mag = np.abs(self.values)
-            k = int(np.argmax(mag))
-            if mag.flat[k] > 0:
-                self.anchor = divmod(k, mag.shape[1])
 
     def bins(self, stop: int) -> np.ndarray:
         """Values holding at least bins 0..stop-1: the stored band when it

@@ -18,7 +18,7 @@ def fd_jacobian(gamma, ctx):
         gp, gm = gamma.copy(), gamma.copy()
         gp[i] += h
         gm[i] -= h
-        J[:, i] = ((ctx.target - ctx.synthesize(gp)) - (ctx.target - ctx.synthesize(gm))) / (2 * h)
+        J[:, i] = ((ctx.target - ctx.synthesize(gp)[0]) - (ctx.target - ctx.synthesize(gm)[0])) / (2 * h)
     return J
 
 

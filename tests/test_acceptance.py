@@ -235,7 +235,7 @@ def test_criterion_5_properties(monkeypatch):
             target=np.zeros(600), phi1=phi1, t=np.arange(600) / fs,
             template=truth.copy(), min_node_gap=2 / fs,
         )
-        target = ctx.synthesize(truth.flatten()) + 0.05 * rg.standard_normal(600)
+        target = ctx.synthesize(truth.flatten())[0] + 0.05 * rg.standard_normal(600)
         init = random_model(np.random.default_rng(k + 1000))
         _, diag = fit(RealSignal(target, fs), phi1, init)
         assert np.all(np.diff(diag.rss_trace) <= 0), f"fit {k}: RSS increased"

@@ -8,6 +8,7 @@ from tvshape import (
     evaluate_model,
     warm_start,
 )
+from tvshape import estimate as estimate_module
 from tvshape.stft import FundamentalEstimate
 
 FS = 2000.0
@@ -36,16 +37,16 @@ def test_node_count_constant_envelope_clamps_to_two():
     assert estimate_node_count(env, FS) == 2
 
 
-def test_node_count_monotone_in_transition_steepness():
-    # FFT oracle: at the default 90% fraction a step envelope's 1/f^2
+def test_node_count_monotone_in_transition_steepness(monkeypatch):
+    # FFT oracle: at the 90% ENERGY_FRACTION a step envelope's 1/f^2
     # spectrum keeps the crossing low for every steepness (counts saturate);
     # raising the fraction exposes the kappa dependence
     t = np.arange(int(FS)) / FS
+    assert estimate_module.ENERGY_FRACTION == 0.9
     for frac, expect_growth in ((0.9, False), (0.95, True)):
+        monkeypatch.setattr(estimate_module, "ENERGY_FRACTION", frac)
         counts = [
-            estimate_node_count(
-                (0.4 + 0.5 * np.tanh(k * (t - 0.5))).astype(complex), FS, frac
-            )
+            estimate_node_count((0.4 + 0.5 * np.tanh(k * (t - 0.5))).astype(complex), FS)
             for k in (10.0, 50.0, 200.0)
         ]
         assert counts[0] <= counts[1] <= counts[2]

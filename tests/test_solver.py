@@ -131,8 +131,8 @@ def test_jacobian_from_a_trial_s_terms_equals_a_fresh_one_bytewise(rng, r, exten
     model.extension_map = extension_map
     ctx = _context(model, rng.standard_normal(n), n)
     gamma = model.flatten()
-    synth, terms = ctx.synthesize(gamma, with_terms=True)
-    assert synth.tobytes() == ctx.synthesize(gamma).tobytes()
+    synth, terms = ctx.synthesize(gamma)
+    assert synth.tobytes() == ctx.synthesize(gamma)[0].tobytes()
     fresh = [a.tobytes() for a in residual_and_jacobian(gamma, ctx)]
     assert [a.tobytes() for a in residual_and_jacobian(gamma, ctx, terms)] == fresh
 
@@ -143,15 +143,15 @@ def test_fit_hands_the_accepted_trial_to_the_jacobian(rng, monkeypatch):
     n = 800
     model = _random_model(rng, n=n, r=3, n_nodes=5)
     phi1 = _phi(n, fm=2.0)
-    target = _context(model, n=n).synthesize(model.flatten()) + 0.05 * rng.standard_normal(n)
+    target = _context(model, n=n).synthesize(model.flatten())[0] + 0.05 * rng.standard_normal(n)
     init = _random_model(rng, n=n, r=3, n_nodes=5)
     xd = RealSignal(target, FS)
     calls = []
     synthesize = FitContext.synthesize
 
-    def counted(ctx, gamma, **kwargs):
+    def counted(ctx, gamma):
         calls.append(gamma)
-        return synthesize(ctx, gamma, **kwargs)
+        return synthesize(ctx, gamma)
 
     monkeypatch.setattr(FitContext, "synthesize", counted)
     monkeypatch.setattr(solver, "MAX_ITERS", 50)
@@ -174,7 +174,7 @@ def test_node_time_perturbation_is_local(rng):
     for _ in range(10):
         model = _random_model(rng, n=n, n_nodes=9)
         ctx = _context(model, n=n)
-        base = ctx.synthesize(model.flatten())
+        base = ctx.synthesize(model.flatten())[0]
         h = model.harmonics[0]
         times = h.nodes.times
         slopes = pchip_slopes(times, h.nodes.amps)
@@ -182,7 +182,7 @@ def test_node_time_perturbation_is_local(rng):
         for i in model.coefficient_layout()[0][0].nodes:
             pert = model.copy()
             pert.harmonics[0].nodes.times[i] += 1e-3
-            after = ctx.synthesize(pert.flatten())
+            after = ctx.synthesize(pert.flatten())[0]
             lo, hi = times[max(i - 2, 0)], times[min(i + 2, len(times) - 1)]
             outside = (t < lo) | (t > hi)
             assert np.array_equal(base[outside], after[outside])
@@ -308,6 +308,14 @@ def test_fit_options_reject_out_of_range_values(kwargs, field):
         PipelineConfig.from_dict({"fit": kwargs})
 
 
+def test_fit_options_take_a_bool_only():
+    # the frozen-node mode's type check; no config reaches it
+    assert FitOptions(freeze_nodes=np.True_).freeze_nodes is True
+    for value in ("false", 0):
+        with pytest.raises(ValueError, match="^freeze_nodes must be true or false"):
+            FitOptions(freeze_nodes=value)
+
+
 def test_fit_from_ground_truth_converges_fast(recon_signal, monkeypatch):
     x, gt = recon_signal
     n = len(x)
@@ -345,7 +353,7 @@ def test_fit_rss_monotone_and_constraints(rng, monkeypatch):
     for trial in range(5):
         model = _random_model(rng, n=800, r=3, n_nodes=5)
         phi1 = _phi(800, fm=2.0)
-        target = _context(model, n=800).synthesize(model.flatten())
+        target = _context(model, n=800).synthesize(model.flatten())[0]
         target = target + 0.05 * rng.standard_normal(800)
         init = _random_model(rng, n=800, r=3, n_nodes=5)
         xd = RealSignal(target, FS)
@@ -362,7 +370,7 @@ def test_fit_rss_monotone_and_constraints(rng, monkeypatch):
 def test_fit_deterministic(rng, monkeypatch):
     model = _random_model(rng, n=600, r=2)
     phi1 = _phi(600, fm=2.0)
-    target = _context(model, n=600).synthesize(model.flatten()) + 0.01
+    target = _context(model, n=600).synthesize(model.flatten())[0] + 0.01
     xd = RealSignal(target, FS)
     init = _random_model(np.random.default_rng(5), n=600, r=2)
     monkeypatch.setattr(solver, "MAX_ITERS", 30)

@@ -118,6 +118,13 @@ def test_ridge_jump_below_bin_width_rejected():
         extract_ridge(spec, max_jump_hz=spec.bin_width / 4)
 
 
+def _first_max(values):
+    """The anchor `stft` finds for values: the (frame, bin) of the first |F|
+    maximum in time-major order."""
+    mag = np.abs(values)
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mag), mag.shape))
+
+
 def _reference_ridge(spec, max_jump_hz):
     """Greedy ridge over a full magnitude copy of the spectrogram."""
     mag = np.abs(spec.values)
@@ -147,13 +154,13 @@ def test_ridge_matches_full_magnitude_search(monkeypatch, block):
     spec = stft(add_noise(x, 0.0, 1), SIGMA)
     ridge = extract_ridge(spec, 2.0)
     assert np.array_equal(ridge.freq, _reference_ridge(spec, 2.0))
-    # equal maxima in two frames, far apart in frequency: the earlier frame
-    # anchors the ridge, as a single argmax over the whole band would pick
+    # equal maxima in two frames, far apart in frequency: the walk from the
+    # earlier frame, which a single argmax over the whole band picks
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 1.0, (6, 20)) + 0j
     values[1, 3] = values[4, 15] = 5.0
     tied = Spectrogram(values, np.arange(20.0), fs=38.0, window_norm=1.0, window_halfwidth=1,
-                       nfft=38, window_coverage=np.ones(6))
+                       nfft=38, window_coverage=np.ones(6), anchor=_first_max(values))
     ridge = extract_ridge(tied, 2.0)
     assert ridge.freq[1] == 3.0
     assert np.array_equal(ridge.freq, _reference_ridge(tied, 2.0))
@@ -166,7 +173,7 @@ def _unit_bin_spectrogram(values):
     nfft = max(2 * (n_freq - 1), 1)
     return Spectrogram(values.astype(complex), np.arange(float(n_freq)), fs=float(nfft),
                        window_norm=1.0, window_halfwidth=1, nfft=nfft,
-                       window_coverage=np.ones(n_time))
+                       window_coverage=np.ones(n_time), anchor=_first_max(values))
 
 
 def _edge_hugging(n_time, n_freq):
@@ -210,16 +217,6 @@ def test_block_ridge_walk_equals_per_frame_loop(monkeypatch, block, case):
     assert np.array_equal(ridge.freq, _reference_ridge(spec, float(jump)))
 
 
-def _tied_spectrogram(first_bin, second_bin):
-    """Six frames of noise with equal maxima in frames 1 and 4: split among
-    two or three workers, the two frames fall in different spans."""
-    rng = np.random.default_rng(3)
-    values = rng.uniform(0.0, 1.0, (6, 20)) + 0j
-    values[1, first_bin] = values[4, second_bin] = 5.0
-    return Spectrogram(values, np.arange(20.0), fs=38.0, window_norm=1.0, window_halfwidth=1,
-                       nfft=38, window_coverage=np.ones(6))
-
-
 TWIN_GAP = 2000     # samples between the twin bursts, more than a SIGMA window
 
 
@@ -255,10 +252,6 @@ def test_spectrogram_and_ridge_byte_equal_for_any_worker_count(monkeypatch, bloc
     mag = np.abs(twins.values)
     assert mag[t, f] == mag[t + TWIN_GAP, f] == mag.max()
     assert (t, f) == np.unravel_index(np.argmax(mag), mag.shape)
-    # a spectrogram built by hand takes its anchor from its values: the
-    # earlier frame of a tie, whichever bin either sits in
-    assert _tied_spectrogram(3, 15).anchor == (1, 3)
-    assert _tied_spectrogram(15, 3).anchor == (1, 15)
 
 
 def test_worker_count_follows_the_cpus_the_process_may_use(monkeypatch):
@@ -342,7 +335,8 @@ def test_reads_past_the_stored_band_equal_the_full_band():
         assert covering.values.shape[1] == full.freq_axis.size
         assert y.tobytes() == vertical_reconstruct(full, Ridge(freq=freq), delta).tobytes()
     # a band built by hand has no record to recompute its missing bins from
-    hand = Spectrogram(full.values[:, :5], full.freq_axis, FS, 1.0, 1, full.nfft, np.ones(full.n_times))
+    hand = Spectrogram(full.values[:, :5], full.freq_axis, FS, 1.0, 1, full.nfft, np.ones(full.n_times),
+                       _first_max(full.values[:, :5]))
     with pytest.raises(ValueError, match="past the 5 stored bins"):
         vertical_reconstruct(hand, ridge, delta)
 
