@@ -172,31 +172,58 @@ class WaveShapeModel:
     @classmethod
     def from_json(cls, text: str) -> "WaveShapeModel":
         """Inverse of to_json; files without the fundamental or the degenerate
-        flags (written before they were saved) load with None and False."""
+        flags (written before they were saved) load with None and False. A
+        missing or ill-typed entry raises ValueError naming its key."""
         raw = json.loads(text)
-        harmonics = [
-            HarmonicModel(
-                e=float(h["e"]),
-                c=float(h["c"]),
-                nodes=HafNodes(
-                    np.array([n["t"] for n in h["nodes"]]),
-                    np.array([n["a"] for n in h["nodes"]]),
-                ),
-                degenerate=bool(h.get("degenerate", False)),
-            )
-            for h in raw["harmonics"]
-        ]
-        f = raw.get("fundamental")
+        top = "the model file"
+        harmonics = []
+        for ell, h in enumerate(_entry(raw, "harmonics", list, top), start=2):
+            where, at = f"harmonic l={ell}", f"a node of harmonic l={ell}"
+            nodes = [(_entry(n, "t", _NUMBER, at), _entry(n, "a", _NUMBER, at))
+                     for n in _entry(h, "nodes", list, where)]
+            harmonics.append(HarmonicModel(
+                e=float(_entry(h, "e", _NUMBER, where)),
+                c=float(_entry(h, "c", _NUMBER, where)),
+                nodes=HafNodes(np.array([t for t, _ in nodes]), np.array([a for _, a in nodes])),
+                degenerate=_entry(h, "degenerate", bool, where, default=False),
+            ))
+        f = _entry(raw, "fundamental", (dict, type(None)), top, default=None)
         if f is not None:
             f = FundamentalEstimate(
-                np.array(f["B1"], dtype=float), np.array(f["phi1"], dtype=float), float(f["fs"])
+                np.array(_entry(f, "B1", list, "the fundamental"), dtype=float),
+                np.array(_entry(f, "phi1", list, "the fundamental"), dtype=float),
+                float(_entry(f, "fs", _NUMBER, "the fundamental")),
             )
+        extension_map = _entry(raw, "extension_map", list, top)
+        if len(extension_map) != 2 or not all(type(n) is int and n >= 0 for n in extension_map):
+            raise ValueError(f"{top}'s 'extension_map' is not two sample counts")
         return cls(
-            r=int(raw["r"]),
+            r=_entry(raw, "r", int, top),
             harmonics=harmonics,
             fundamental=f,
-            extension_map=tuple(raw["extension_map"]),
+            extension_map=tuple(extension_map),
         )
+
+
+_NUMBER = (int, float)
+_REQUIRED = object()
+
+
+def _entry(obj, key: str, kinds, where: str, default=_REQUIRED):
+    """obj[key], or default where obj lacks the key and a default is given.
+    ValueError naming the key and where it sits if obj is not a JSON object,
+    lacks a required key, or holds a value of none of the types kinds (a
+    boolean is not a number)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} lacks {key!r}")
+        return default
+    value = obj[key]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+        raise ValueError(f"{where}'s {key!r} has the wrong type ({type(value).__name__})")
+    return value
 
 
 def demodulate(x: RealSignal, fund: FundamentalEstimate) -> RealSignal:

@@ -197,8 +197,7 @@ def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> De
     swamp the node times' step tolerance and knot differences); every time
     in the result is then moved to the record's own axis.
     """
-    res = _denoise(RealSignal(x.samples, x.fs), cfg, with_metrics)
-    return res if x.t0 == 0 else _moved(res, x.t0)
+    return _moved(_denoise(RealSignal(x.samples, x.fs), cfg, with_metrics), x.t0)
 
 
 def _moved(res: DenoiseResult, t0: float) -> DenoiseResult:
@@ -216,8 +215,6 @@ def _moved(res: DenoiseResult, t0: float) -> DenoiseResult:
 
 
 def _moved_model(model: WaveShapeModel, t0: float) -> WaveShapeModel:
-    if t0 == 0:
-        return model
     model = model.copy()
     for h in model.harmonics:
         h.nodes.times = h.nodes.times + t0
@@ -363,12 +360,6 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
     # fitted and scanned at t0 = 0, as denoise fits; change times on x's axis
     x0 = RealSignal(x.samples, x.fs)
     model = denoise(x0, cfg, with_metrics=False).model
-    if model.r < 2:
-        # no harmonic amplitude functions to scan: report an empty result
-        return SegmentationResult(
-            t_hat=None, per_harmonic=[], haf_traces={}, all_changes={},
-            model=_moved_model(model, x.t0),
-        )
     t = x0.times()
     traces: dict[int, np.ndarray] = {}
     firsts: list[tuple[int, float]] = []

@@ -12,14 +12,15 @@ GRID_WINDOWS truncated windows, so beyond that length the spectrogram's
 memory and FFT time grow linearly in the number of samples.
 
 `stft` makes one pass over the frames: it splits the frame rows into one
-contiguous span per CPU the process may run on and runs the spans on
-threads (numpy's FFT and ufunc loops release the GIL). Each block of
-frames is transformed over every bin into its worker's buffers; |F| of
-the block gives its first maximum, and the blocks' maxima combine into
-the ridge's anchor, the first global |F| maximum. Only the bins up to the
-caller's max_freq are then copied out and stored, in an anonymous memory
-map whose pages go back to the OS when the spectrogram is dropped. The
-ridge walk and the band sums read through `Spectrogram.bins`: a read past
+contiguous span per CPU the process may run on and runs the spans on a
+thread pool (numpy's FFT and ufunc loops release the GIL), a one-thread
+pool on one CPU. Each span is walked a block of frames at a time, and
+each block is transformed over every bin into its worker's buffers; |F|
+of the block gives its first maximum, and the blocks' maxima combine
+into the ridge's anchor, the first global |F| maximum. Only the bins up
+to the caller's max_freq are then copied out and stored, in an anonymous
+memory map whose pages go back to the OS when the spectrogram is
+dropped. The ridge walk and the band sums read through `Spectrogram.bins`: a read past
 the stored band recomputes the full-width transform once, by the same
 pass, and serves every later read from it.
 
@@ -28,9 +29,8 @@ one set per worker, with BLOCK_ELEMENTS shared among them: a buffer a
 worker thread allocated itself would stay resident in that thread's
 malloc arena. Each call opens its own pool and joins it before returning,
 so no pool is left for a forked child (the bench's process pool) to
-inherit without its threads. Every span computes the rows it owns exactly
-as the single-threaded loop does, so the output does not depend on the
-CPU count.
+inherit without its threads. A row is computed the same way whatever
+span and block hold it, so the output does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -145,35 +145,6 @@ def worker_count(n_rows: int) -> int:
     return max(1, min(cpus, n_rows))
 
 
-def _map_blocks(fn, n_rows: int, width: int, alloc) -> list:
-    """[fn(bufs, start, stop) for every block of rows start:stop], in row order.
-
-    The rows split into one contiguous span per worker (`worker_count`), and
-    each span is walked in blocks of at most BLOCK_ELEMENTS / workers
-    entries of `width` columns. bufs are the first stop - start rows of the
-    arrays of its worker's alloc(rows) tuple, holding whatever fn wrote to
-    them in the worker's previous blocks. The calling thread allocates every
-    worker's arrays before the pool starts and the pool is joined before
-    returning.
-    """
-    workers = worker_count(n_rows)
-    bounds = [n_rows * w // workers for w in range(workers + 1)]
-    chunk = max(1, min(-(-n_rows // workers), BLOCK_ELEMENTS // (workers * width)))
-    bufs = [alloc(chunk) for _ in range(workers)]
-
-    def walk_span(w: int) -> list:
-        out = []
-        for start in range(bounds[w], bounds[w + 1], chunk):
-            stop = min(start + chunk, bounds[w + 1])
-            out.append(fn(tuple(b[: stop - start] for b in bufs[w]), start, stop))
-        return out
-
-    if workers == 1:
-        return walk_span(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [r for span in pool.map(walk_span, range(workers)) for r in span]
-
-
 def _band_store(rows: int, cols: int) -> np.ndarray:
     """An uninitialised (rows, cols) complex array in an anonymous memory
     map, whose pages go back to the OS as soon as the array is dropped:
@@ -191,34 +162,44 @@ def _transform(samples: np.ndarray, g: np.ndarray, half: int, nfft: int,
     the first |F| maximum over all bins in time-major order (None if all
     are zero).
 
-    Each block's |F| is taken as it leaves the FFT; the blocks' maxima are
-    combined in row order with a strict >, so a tie anchors at the earliest
-    frame whatever the block and span boundaries.
+    The rows split into one contiguous span per worker (`worker_count`),
+    and each span is walked in blocks of at most BLOCK_ELEMENTS / workers
+    frame samples. Each block's |F| is taken as it leaves the FFT; the
+    blocks' first maxima are combined in row order with a strict >, so a
+    tie anchors at the earliest frame whatever the block and span
+    boundaries.
     """
     n_rows, n_bins = samples.size, nfft // 2 + 1
     padded = np.concatenate([np.zeros(half), samples, np.zeros(half)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
     values = _band_store(n_rows, keep)
+    workers = worker_count(n_rows)
+    bounds = [n_rows * w // workers for w in range(workers + 1)]
+    chunk = max(1, min(-(-n_rows // workers), BLOCK_ELEMENTS // (workers * nfft)))
+    # allocated here, before the pool starts: see the module docstring
+    bufs = [(np.zeros((chunk, nfft)), np.empty((chunk, n_bins), complex), np.empty((chunk, n_bins)))
+            for _ in range(workers)]
 
-    def alloc(rows: int) -> tuple:
-        return np.zeros((rows, nfft)), np.empty((rows, n_bins), complex), np.empty((rows, n_bins))
+    def walk_span(w: int) -> tuple[float, int]:
+        best = (0.0, 0)
+        for start in range(bounds[w], bounds[w + 1], chunk):
+            stop = min(start + chunk, bounds[w + 1])
+            b, spectrum, mag = (buf[: stop - start] for buf in bufs[w])
+            # window-centered phase: g's center goes to FFT index 0 and its left
+            # half wraps to the end; the middle of b is never written, so stays 0
+            np.multiply(frames[start:stop, half:], g[half:], out=b[:, : half + 1])
+            np.multiply(frames[start:stop, :half], g[:half], out=b[:, nfft - half :])
+            np.fft.rfft(b, axis=1, out=spectrum)
+            values[start:stop] = spectrum[:, :keep]
+            np.abs(spectrum, out=mag)
+            k = int(np.argmax(mag))
+            if mag.flat[k] > best[0]:
+                best = (mag.flat[k], start * n_bins + k)
+        return best
 
-    def transform(bufs: tuple, start: int, stop: int) -> tuple[float, int]:
-        b, spectrum, mag = bufs
-        # window-centered phase: g's center goes to FFT index 0 and its left
-        # half wraps to the end; the middle of b is never written, so stays 0
-        np.multiply(frames[start:stop, half:], g[half:], out=b[:, : half + 1])
-        np.multiply(frames[start:stop, :half], g[:half], out=b[:, nfft - half :])
-        np.fft.rfft(b, axis=1, out=spectrum)
-        values[start:stop] = spectrum[:, :keep]
-        np.abs(spectrum, out=mag)
-        k = int(np.argmax(mag))
-        return mag.flat[k], start * n_bins + k
-
-    best, flat = 0.0, 0
-    for block_best, k in _map_blocks(transform, n_rows, nfft, alloc):
-        if block_best > best:
-            best, flat = block_best, k
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # max keeps the first of equal maxima, so the earliest span's wins
+        best, flat = max(pool.map(walk_span, range(workers)), key=lambda m: m[0])
     return values, (divmod(flat, n_bins) if best > 0 else None)
 
 

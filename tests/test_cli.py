@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from tvshape import (
+    FundamentalEstimate,
+    HafNodes,
+    HarmonicModel,
     RealSignal,
     SyntheticSpec,
     WaveShapeModel,
     add_noise,
+    decompose,
     generate,
+    preset,
     read_signal_csv,
     write_signal_csv,
 )
 from tvshape.cli import EXIT_NO_RESULT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from tvshape.pipeline import RETIRED_KEYS
+from tvshape.stft import fft_length, gaussian_window
 
 
 @pytest.fixture(scope="module")
@@ -72,16 +78,35 @@ def test_decompose_command(tmp_path):
     WaveShapeModel.from_json((out / "multi_component1_model.json").read_text())
 
 
-def test_ip_preset_accepted(tmp_path):
-    # IP-class values: sigma=1e-6, I_f=0.3 Hz, delta=0.008 Hz
+def _ip_record() -> RealSignal:
+    # two respiratory-rate rhythms, 0.25 Hz and 1.4 Hz, a minute at 32 Hz
     fs = 32.0
     t = np.arange(int(60 * fs)) / fs
     x = np.cos(2 * np.pi * 0.25 * t) + 0.25 * np.cos(2 * np.pi * 1.4 * t)
+    return RealSignal(x - x.mean(), fs)
+
+
+def test_ip_preset_accepted(tmp_path):
+    # IP-class values: sigma=1e-6, I_f=0.3 Hz, delta=0.008 Hz
     src = tmp_path / "ip.csv"
-    write_signal_csv(src, RealSignal(x - x.mean(), fs))
+    write_signal_csv(src, _ip_record())
     out = tmp_path / "ip_out"
     code = main(["decompose", str(src), "-k", "2", "--preset", "ip", "--rmax", "3", "--out", str(out)])
     assert code == EXIT_OK
+
+
+def test_decompose_of_the_ip_record_finds_both_rhythms():
+    # the second stage's residual carries edge cycles of ~0.28 Hz, and its
+    # ridge runs at 1.4 Hz, past the spectrogram band sized from them
+    x = _ip_record()
+    cfg = preset("ip", r_max=3)
+    _, half = gaussian_window(cfg.sigma)
+    found = sorted(
+        (float(np.mean(res.ridge.freq)), x.fs / fft_length(len(res.extension.extended), 2 * half + 1))
+        for res in decompose(x, [cfg], K=2)
+    )
+    for (mean, bin_width), target in zip(found, (0.25, 1.4), strict=True):
+        assert abs(mean - target) <= bin_width
 
 
 def test_segment_command(tmp_path):
@@ -286,6 +311,28 @@ def test_check_model_roundtrip(tmp_path, s1_csv):
     out = tmp_path / "o"
     main(["denoise", str(s1_csv), "--preset", "synthetic", "--out", str(out)])
     assert main(["check-model", str(out / "s1_noisy_model.json")]) == EXIT_OK
+
+
+MALFORMED_MODELS = {
+    "'extension_map'": lambda raw: {k: v for k, v in raw.items() if k != "extension_map"},
+    "'r'": lambda raw: {k: v for k, v in raw.items() if k != "r"},
+    "'nodes'": lambda raw: {**raw, "harmonics": [{"e": 2.0, "c": 0.1}]},
+    "not a JSON object": lambda raw: [raw],
+}
+
+
+@pytest.mark.parametrize("named", MALFORMED_MODELS)
+def test_check_model_of_a_malformed_file_usage_error(tmp_path, capsys, named):
+    nodes = HafNodes(np.array([0.0, 0.05]), np.array([0.5, 0.4]))
+    fund = FundamentalEstimate(np.ones(100), 40 * np.arange(100) / 2000.0, 2000.0)
+    raw = json.loads(WaveShapeModel(2, [HarmonicModel(2.0, 0.1, nodes)], fund).to_json())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check-model", str(path)]) == EXIT_OK
+    path.write_text(json.dumps(MALFORMED_MODELS[named](raw)))
+    assert main(["check-model", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and named in err
 
 
 def test_check_model_without_fundamental_usage_error(tmp_path, capsys):

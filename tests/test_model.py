@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,37 @@ def test_model_json_without_fundamental_loads():
     assert back.harmonics[0].degenerate is False
     with pytest.raises(ValueError, match="no fundamental reference"):
         evaluate_model(back, np.zeros(10))
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+MALFORMED = {
+    "the model file lacks 'extension_map'": lambda raw: _without(raw, "extension_map"),
+    "the model file lacks 'r'": lambda raw: _without(raw, "r"),
+    "the model file lacks 'harmonics'": lambda raw: _without(raw, "harmonics"),
+    "harmonic l=2 lacks 'nodes'": lambda raw: {**raw, "harmonics": [_without(raw["harmonics"][0], "nodes")]},
+    "the model file is not a JSON object": lambda raw: [raw],
+    "harmonic l=3 is not a JSON object": lambda raw: {**raw, "harmonics": [raw["harmonics"][0], 3.0]},
+    "the model file's 'r' has the wrong type (str)": lambda raw: {**raw, "r": "3"},
+    "the model file's 'r' has the wrong type (bool)": lambda raw: {**raw, "r": True},
+    "'extension_map' is not two sample counts": lambda raw: {**raw, "extension_map": [0]},
+    "the model file's 'extension_map' is not two sample counts": lambda raw: {**raw, "extension_map": [-5, 3]},
+    "harmonic l=2's 'e' has the wrong type (NoneType)": lambda raw: {
+        **raw, "harmonics": [{**raw["harmonics"][0], "e": None}, raw["harmonics"][1]]},
+    "a node of harmonic l=2's 't' has the wrong type (str)": lambda raw: {
+        **raw, "harmonics": [{**raw["harmonics"][0], "nodes": [{"t": "0", "a": 0.5}]}, raw["harmonics"][1]]},
+    "the fundamental lacks 'phi1'": lambda raw: {**raw, "fundamental": _without(raw["fundamental"], "phi1")},
+    "the model file's 'fundamental' has the wrong type (list)": lambda raw: {**raw, "fundamental": []},
+}
+
+
+@pytest.mark.parametrize("message", MALFORMED)
+def test_model_json_with_a_missing_or_ill_typed_key_raises(message):
+    raw = json.loads(_model(r=3).to_json())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WaveShapeModel.from_json(json.dumps(MALFORMED[message](raw)))
 
 
 def test_evaluate_uses_haf_interpolation(rng):

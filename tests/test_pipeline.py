@@ -271,6 +271,16 @@ def test_segment_constant_hafs_no_changes(cfg):
     assert res.per_harmonic == []
 
 
+@pytest.mark.parametrize("t0", [0.0, 7.0])
+def test_segment_of_a_fundamental_only_record(cfg, t0):
+    # a pure cosine fits with r = 1: there is no harmonic amplitude to scan
+    t = np.arange(2000) / 2000.0
+    res = segment(RealSignal(np.cos(2 * np.pi * 40 * t), 2000.0, t0), cfg)
+    assert res.model.r == 1
+    assert res.t_hat is None
+    assert res.per_harmonic == [] and res.haf_traces == {} and res.all_changes == {}
+
+
 def test_segmentation_json(cfg):
     spec = SyntheticSpec("sharp_transition", params={"t_t": 0.6, "mu": 0.3, "lam": 0.15, "kappa": 50.0, "r": 3})
     x, _ = generate(spec)

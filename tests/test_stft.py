@@ -279,12 +279,13 @@ def test_pool_has_at_most_one_thread_per_row_and_ends_with_the_call(monkeypatch)
     spec = stft(_tone(n=3), SIGMA)
     assert opened == [3]        # one pass: the anchor is found by the transform
     assert threading.active_count() == threads
-    # one CPU: the plain loop, no pool, the same output
+    # one CPU: a one-thread pool, the same output
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     single = stft(_tone(n=3), SIGMA)
     assert single.anchor == spec.anchor
     assert single.values.tobytes() == spec.values.tobytes()
-    assert opened == [3]
+    assert opened == [3, 1]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("max_freq", [0.0, 45.0, 300.0, FS / 2, 5 * FS])
