@@ -189,11 +189,15 @@ class WaveShapeModel:
             ))
         f = _entry(raw, "fundamental", (dict, type(None)), top, default=None)
         if f is not None:
-            f = FundamentalEstimate(
-                np.array(_entry(f, "B1", list, "the fundamental"), dtype=float),
-                np.array(_entry(f, "phi1", list, "the fundamental"), dtype=float),
-                float(_entry(f, "fs", _NUMBER, "the fundamental")),
-            )
+            where = "the fundamental"
+            b1 = np.array(_entry(f, "B1", list, where), dtype=float)
+            phi1 = np.array(_entry(f, "phi1", list, where), dtype=float)
+            fs = float(_entry(f, "fs", _NUMBER, where))
+            if b1.shape != phi1.shape:
+                raise ValueError(f"{where}'s 'B1' and 'phi1' differ in length ({b1.size} and {phi1.size})")
+            if not 0 < fs < np.inf:
+                raise ValueError(f"{where}'s 'fs' is not a positive, finite sampling rate ({fs:g})")
+            f = FundamentalEstimate(b1, phi1, fs)
         extension_map = _entry(raw, "extension_map", list, top)
         if len(extension_map) != 2 or not all(type(n) is int and n >= 0 for n in extension_map):
             raise ValueError(f"{top}'s 'extension_map' is not two sample counts")

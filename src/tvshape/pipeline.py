@@ -238,10 +238,11 @@ def _denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool) -> DenoiseR
     ext = _staged(timings, "extend", extend_boundaries, x, c_fwd, c_bwd)
     xe = ext.extended
 
-    # the ridge walk and the band sums read no higher than r_max harmonics
-    # of the edges' cycle, plus the band half-width and a ridge jump; a
-    # read past that recomputes the spectrogram's full width
-    max_freq = cfg.r_max * x.fs / min(c_fwd, c_bwd) + delta + cfg.max_jump_hz
+    # the ridge walk and the fundamental's band sum read no higher than two
+    # harmonics of the edges' cycle, plus the band half-width and a ridge
+    # jump; a walk past that recomputes the spectrogram's full width, and
+    # the harmonics' band sums come from the record
+    max_freq = min(2, cfg.r_max) * x.fs / min(c_fwd, c_bwd) + delta + cfg.max_jump_hz
     spec = _staged(timings, "stft", stft, xe, cfg.sigma, max_freq)
     fund, ridge = _staged(timings, "fundamental", estimate_fundamental, spec, cfg.max_jump_hz, delta)
     x_dem = _staged(timings, "demodulate", demodulate, xe, fund)

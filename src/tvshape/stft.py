@@ -20,9 +20,13 @@ of the block gives its first maximum, and the blocks' maxima combine
 into the ridge's anchor, the first global |F| maximum. Only the bins up
 to the caller's max_freq are then copied out and stored, in an anonymous
 memory map whose pages go back to the OS when the spectrogram is
-dropped. The ridge walk and the band sums read through `Spectrogram.bins`: a read past
-the stored band recomputes the full-width transform once, by the same
-pass, and serves every later read from it.
+dropped. The spectrogram keeps the record and window it was computed
+from. A band sum that reaches past the stored bins is computed from the
+record (`vertical_reconstruct`): the record correlated with the window
+times the band's closed-form Dirichlet kernel. Only the ridge walk, which
+reads through `Spectrogram.bins`, recomputes: a read past the stored band
+transforms the full width once, by the same pass, and serves every later
+read from it.
 
 The calling thread allocates every block buffer before the threads start,
 one set per worker, with BLOCK_ELEMENTS shared among them: a buffer a
@@ -35,10 +39,10 @@ span and block hold it, so the output does not depend on the CPU count.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 import warnings
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -64,10 +68,11 @@ class Spectrogram:
     """Complex STFT matrix indexed [time sample][frequency bin], hop 1.
 
     values may hold only the low bins 0..K-1 of the nfft/2+1 on freq_axis;
-    read bins through `bins`, which recomputes the rest when asked for
-    them. anchor is the (frame, bin) of the first |F| maximum over all
-    bins in time-major order, None when every entry is zero; `stft` finds
-    it in its FFT pass.
+    read bins through `bins`, which recomputes the rest from record and
+    window when asked for them (a spectrogram built without them cannot).
+    anchor is the (frame, bin) of the first |F| maximum over all bins in
+    time-major order, None when every entry is zero; `stft` finds it in
+    its FFT pass.
     """
 
     values: np.ndarray            # (N, K) complex, bins 0..K-1
@@ -78,17 +83,19 @@ class Spectrogram:
     nfft: int
     window_coverage: np.ndarray   # in-record window mass per frame
     anchor: tuple[int, int] | None
-    full_width: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    record: np.ndarray | None = field(default=None, repr=False)   # samples the values came from
+    window: np.ndarray | None = field(default=None, repr=False)   # g, 2 * window_halfwidth + 1 taps
 
     def bins(self, stop: int) -> np.ndarray:
         """Values holding at least bins 0..stop-1: the stored band when it
-        reaches that far, else the full-width transform, recomputed once by
-        `full_width`, which replaces the band for every later read."""
+        reaches that far, else the full-width transform, recomputed once
+        from the record, which replaces the band for every later read. The
+        band sums of `vertical_reconstruct` read past the band without it."""
         if stop > self.values.shape[1]:
-            if self.full_width is None:
+            if self.record is None:
                 raise ValueError(f"bin {stop - 1} lies past the {self.values.shape[1]} stored bins")
-            self.values = self.full_width()
-            self.full_width = None
+            self.values = _transform(self.record, self.window, self.window_halfwidth, self.nfft,
+                                     self.freq_axis.size)[0]
         return self.values
 
     @property
@@ -240,7 +247,8 @@ def stft(x: RealSignal, sigma: float, max_freq: float | None = None) -> Spectrog
         nfft=nfft,
         window_coverage=coverage,
         anchor=anchor,
-        full_width=None if keep == n_bins else lambda: _transform(x.samples, g, half, nfft, n_bins)[0],
+        record=x.samples,
+        window=g,
     )
 
 
@@ -324,7 +332,8 @@ def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.nd
     component, the result approximates its analytic signal (magnitude =
     instantaneous amplitude, phase = 2*pi*phase). The per-frame in-record
     window mass is divided out, undoing the amplitude shrinkage of frames
-    whose window overhangs the record edges.
+    whose window overhangs the record edges. Bands that reach past the
+    stored bins are summed from the record, and the stored band is kept.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -339,22 +348,72 @@ def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.nd
     hi = np.searchsorted(spec.freq_axis, ridge.freq + delta, side="right")
     lo = np.clip(lo, 0, n_freq)
     hi = np.clip(hi, lo, n_freq)
-    # one-sided doubling: weight 2 everywhere except DC and Nyquist. The
-    # frames whose band holds w bins are summed together: indexing a
-    # width-w sliding view by (frame, lo) copies out only their bands. A
-    # band that reaches Nyquist reads the full width, whose last bin it is.
-    values = spec.bins(int(hi.max(initial=0)))
-    out = np.empty(spec.n_times, dtype=complex)
-    width = hi - lo
-    for w in np.unique(width):
-        rows = np.flatnonzero(width == w)
-        bands = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
-        out[rows] = 2.0 * bands[rows, lo[rows]].sum(axis=1)
-    dc, nyquist = lo == 0, hi == n_freq
-    out[dc] -= values[dc, 0]
-    out[nyquist] -= values[nyquist, -1]
+    top = int(hi.max(initial=0))
+    if top > spec.values.shape[1] and spec.record is not None:
+        out = _record_band_sums(spec, lo, hi)
+    else:
+        # one-sided doubling: weight 2 everywhere except DC and Nyquist. The
+        # frames whose band holds w bins are summed together: indexing a
+        # width-w sliding view by (frame, lo) copies out only their bands.
+        values = spec.bins(top)
+        out = np.empty(spec.n_times, dtype=complex)
+        width = hi - lo
+        for w in np.unique(width):
+            rows = np.flatnonzero(width == w)
+            bands = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
+            out[rows] = 2.0 * bands[rows, lo[rows]].sum(axis=1)
+        dc, nyquist = lo == 0, hi == n_freq
+        out[dc] -= values[dc, 0]
+        out[nyquist] -= values[nyquist, -1]
     out /= spec.nfft
     out /= spec.window_coverage
+    return out
+
+
+def _record_band_sums(spec: Spectrogram, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each frame's weighted bin sum over [lo, hi), taken from the record.
+
+    F(n, k) = sum_m x(n + m) g(m) exp(-2 pi i k m / nfft), so a band sum is
+    the record correlated with g * D, D the band's Dirichlet kernel with the
+    one-sided weights:
+        D(m) = 2 sum_{k=lo}^{hi-1} exp(-2 pi i k m / nfft) - [lo = 0] - [hi = nfft/2 + 1] (-1)^m.
+    The correlation runs over a length L, a power of two past N + half and
+    a multiple of nfft, so it never wraps, and the factor exp(-2 pi i k m /
+    nfft) shifts a kernel's FFT by k L / nfft bins. So the record takes one
+    FFT; each distinct width w = hi - lo takes one, of its lo = 0 kernel in
+    closed form,
+        g(m) * 2 exp(-i pi m (w - 1) / nfft) sin(pi m w / nfft) / sin(pi m / nfft)
+    (2w g(0) at m = 0, the arguments reduced modulo 2 nfft in integers),
+    whose w = 1 case, halved, is the DC and (shifted) Nyquist term; and each
+    distinct band takes one inverse FFT.
+    """
+    half, nfft, n_freq, n = spec.window_halfwidth, spec.nfft, spec.freq_axis.size, spec.n_times
+    size = max(nfft, 1 << int(np.ceil(np.log2(n + half))))
+    m = np.arange(-half, half + 1)
+    inner = m != 0
+
+    @functools.cache
+    def width_kernel(w: int) -> np.ndarray:
+        d = np.full(m.size, 2.0 * w, dtype=complex)
+        d[inner] = (2.0 * np.exp(-1j * np.pi * (m[inner] * (w - 1) % (2 * nfft)) / nfft)
+                    * np.sin(np.pi * (m[inner] * w % (2 * nfft)) / nfft)
+                    / np.sin(np.pi * m[inner] / nfft))
+        # tap m sits at -m: the circular convolution is the correlation
+        placed = np.zeros(size, dtype=complex)
+        placed[-m % size] = spec.window * d
+        return np.fft.fft(placed)
+
+    record = np.fft.fft(spec.record, size)
+    out = np.empty(n, dtype=complex)
+    bands, rows = np.unique(lo * (n_freq + 1) + hi, return_inverse=True)
+    for j, (a, b) in enumerate(zip(*np.divmod(bands, n_freq + 1))):
+        kernel = np.roll(width_kernel(int(b - a)), a * (size // nfft))
+        if a == 0:
+            kernel -= width_kernel(1) / 2
+        if b == n_freq:
+            kernel -= np.roll(width_kernel(1), size // 2) / 2
+        sel = np.flatnonzero(rows == j)
+        out[sel] = np.fft.ifft(record * kernel)[sel]
     return out
 
 

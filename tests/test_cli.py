@@ -318,6 +318,8 @@ MALFORMED_MODELS = {
     "'r'": lambda raw: {k: v for k, v in raw.items() if k != "r"},
     "'nodes'": lambda raw: {**raw, "harmonics": [{"e": 2.0, "c": 0.1}]},
     "not a JSON object": lambda raw: [raw],
+    "'fs'": lambda raw: {**raw, "fundamental": {**raw["fundamental"], "fs": 0}},
+    "'B1'": lambda raw: {**raw, "fundamental": {**raw["fundamental"], "B1": raw["fundamental"]["B1"][:-5]}},
 }
 
 

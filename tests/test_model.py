@@ -216,6 +216,16 @@ MALFORMED = {
         **raw, "harmonics": [{**raw["harmonics"][0], "nodes": [{"t": "0", "a": 0.5}]}, raw["harmonics"][1]]},
     "the fundamental lacks 'phi1'": lambda raw: {**raw, "fundamental": _without(raw["fundamental"], "phi1")},
     "the model file's 'fundamental' has the wrong type (list)": lambda raw: {**raw, "fundamental": []},
+    "the fundamental's 'fs' is not a positive, finite sampling rate (0)": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "fs": 0}},
+    "the fundamental's 'fs' is not a positive, finite sampling rate (-2000)": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "fs": -2000.0}},
+    "the fundamental's 'fs' is not a positive, finite sampling rate (nan)": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "fs": float("nan")}},
+    "the fundamental's 'fs' is not a positive, finite sampling rate (inf)": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "fs": float("inf")}},
+    "the fundamental's 'B1' and 'phi1' differ in length": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "B1": raw["fundamental"]["B1"][:-5]}},
 }
 
 

@@ -1,5 +1,7 @@
-import importlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,27 +355,46 @@ def test_reconstructions_sit_on_the_record_axis(cfg, noiseless_result, t0):
     assert res.reconstruction.t0 == res.lr_reconstruction.t0 == x.t0
 
 
-def test_ecg_record_stores_a_low_band_of_its_spectrogram(monkeypatch):
-    # built as acceptance criterion 6 builds its ECG-class record
-    fs = 250.0
-    t = np.arange(int(24 * fs)) / fs
-    phi = 1.8 * t + 0.05 / (2 * np.pi) * np.sin(2 * np.pi * 0.2 * t)
-    wave = sum(a * np.cos(2 * np.pi * ell * phi) for ell, a in ((1, 1.0), (2, 0.8), (3, 0.55), (4, 0.3)))
-    ecg = (1 + 0.1 * np.sin(2 * np.pi * 0.05 * t)) * wave
-    made = []
-    real_stft = pipeline_module.stft
+@pytest.fixture(scope="module")
+def biomedical_records():
+    # the benchmark's biomedical workload: the records acceptance criterion 6 builds
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return {rec.name: rec for rec in module.biomedical()}
+
+
+@pytest.mark.parametrize("name", ["eeg", "ecg", "ip"])
+def test_biomedical_record_stores_a_low_band_of_its_spectrogram(monkeypatch, biomedical_records, name):
+    rec = biomedical_records[name]
+    made, cycles = [], []
+    real_stft, real_cycle = pipeline_module.stft, pipeline_module.fractional_cycle_len
 
     def recording_stft(*args):
         spec = real_stft(*args)
         made.append((spec, spec.values.shape[1]))
         return spec
 
+    def recording_cycle(*args):
+        cycles.append(real_cycle(*args))
+        return cycles[-1]
+
     monkeypatch.setattr(pipeline_module, "stft", recording_stft)
-    denoise(add_noise(RealSignal(ecg - ecg.mean(), fs), 10.0, 1), preset("ecg", r_max=6))
-    ((spec, stored),) = made
-    assert stored <= 0.15 * spec.freq_axis.size
-    # every read stayed inside the band: nothing was recomputed
-    assert spec.values.shape[1] == stored and spec.full_width is not None
+    monkeypatch.setattr(pipeline_module, "fractional_cycle_len", recording_cycle)
+    if rec.driver == "decompose":
+        decompose(rec.signal, [rec.cfg], K=rec.K)
+    else:
+        denoise(rec.signal, rec.cfg)
+    assert len(made) == rec.K and len(cycles) == 2 * rec.K      # one spectrogram per stage
+    delta = rec.cfg.resolved_delta(rec.signal.fs)
+    for (spec, stored), edge_cycles in zip(made, np.reshape(cycles, (rec.K, 2)), strict=True):
+        # two harmonics of the shorter edge cycle, plus the band half-width and a ridge jump
+        top = min(2, rec.cfg.r_max) * spec.fs / edge_cycles.min() + delta + rec.cfg.max_jump_hz
+        assert stored <= np.count_nonzero(spec.freq_axis <= top) < 0.25 * spec.freq_axis.size
+        # the harmonics' band sums came from the record: nothing was recomputed
+        assert spec.values.shape[1] == stored
 
 
 def test_pipeline_deterministic(cfg):

@@ -320,22 +320,38 @@ def test_reads_past_the_stored_band_equal_the_full_band():
     keep = band.values.shape[1]
     assert full.freq_axis[band.anchor[1]] < 60.0 < ridge.freq.max()
     assert extract_ridge(band, 2.0).freq.tobytes() == ridge.freq.tobytes()
-    assert band.values.shape[1] > keep and band.full_width is None      # recomputed once
+    assert band.values.shape[1] == full.freq_axis.size > keep       # recomputed once
     assert band.values.tobytes() == full.values.tobytes()
     # a read inside the band keeps it
     covering = stft(x, SIGMA, 150.0)
     keep = covering.values.shape[1]
     assert extract_ridge(covering, 2.0).freq.tobytes() == ridge.freq.tobytes()
     assert covering.values.shape[1] == keep
-    # a harmonic band past the stored one, and a band reaching Nyquist,
-    # whose last bin is read
+    # band sums past the stored band come from the record and leave its
+    # width alone: harmonic bands l = 2..5, a band clipped at DC, one
+    # reaching Nyquist, and a band between two bins that holds none
+    band = stft(x, SIGMA, 60.0)
+    keep = band.values.shape[1]
     delta = default_band_halfwidth(SIGMA, FS)
-    for freq in (3 * ridge.freq, np.full(ridge.freq.size, FS / 2 - delta / 2)):
-        covering = stft(x, SIGMA, 150.0)
-        y = vertical_reconstruct(covering, Ridge(freq=freq), delta)
-        assert covering.values.shape[1] == full.freq_axis.size
-        assert y.tobytes() == vertical_reconstruct(full, Ridge(freq=freq), delta).tobytes()
-    # a band built by hand has no record to recompute its missing bins from
+    cases = [(ell * ridge.freq, delta) for ell in range(2, 6)]
+    cases += [(ridge.freq - 30.0, 3 * delta), (np.full(ridge.freq.size, FS / 2 - delta / 2), delta),
+              (3 * ridge.freq + 0.5 * full.bin_width, full.bin_width / 4)]
+    widths, edges = set(), set()
+    for freq, d in cases:
+        lo = np.searchsorted(full.freq_axis, freq - d, side="left")
+        hi = np.searchsorted(full.freq_axis, freq + d, side="right")
+        assert hi.max() > keep
+        widths.update(np.clip(hi, lo, full.freq_axis.size) - lo)
+        edges.update({lo.min(), hi.max()})
+        y = vertical_reconstruct(band, Ridge(freq=freq), d)
+        assert band.values.shape[1] == keep
+        reference = vertical_reconstruct(full, Ridge(freq=freq), d)
+        assert np.max(np.abs(y - reference)) <= 1e-12 * np.max(np.abs(x.samples))
+    assert 0 in widths and {0, full.freq_axis.size} <= edges
+    with pytest.warns(UserWarning, match="reconstruction band clipped"):
+        vertical_reconstruct(band, Ridge(freq=np.full(ridge.freq.size, FS / 2 - delta / 2)), delta)
+    assert band.values.shape[1] == keep
+    # a band built by hand has no record to compute its missing bins from
     hand = Spectrogram(full.values[:, :5], full.freq_axis, FS, 1.0, 1, full.nfft, np.ones(full.n_times),
                        _first_max(full.values[:, :5]))
     with pytest.raises(ValueError, match="past the 5 stored bins"):
