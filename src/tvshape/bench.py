@@ -1,16 +1,25 @@
 """Monte-Carlo experiment harness: SNR sweeps and error tables.
 
-Each experiment cell (signal kind, input SNR, realization) is an isolated
-pipeline run with its own derived seed; cells execute sequentially or on
-a process pool, and a single collector writes the CSV/JSON outputs, so
-results are identical either way.
+Each paper experiment is written here once, as a cell: one isolated
+pipeline run on one noise draw, with the seeds it is given. `tvshape bench`
+derives those seeds from its own seed; the acceptance suite runs the same
+cells with seeds of its own.
+
+`_run_cells` runs the cells on one process per usable CPU. The processes
+are spawned with one BLAS thread each, so N processes do not oversubscribe
+N CPUs, and a fit's last bits, which follow the BLAS thread count, do not
+depend on the CPU count. The outputs come back in cell order, so every
+table is what a one-cell-at-a-time run at one BLAS thread computes.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +29,11 @@ from .generators import SyntheticSpec, generate
 from .metrics import add_noise, snr_out
 from .pipeline import PipelineConfig, decompose, denoise, segment
 from .signals import RealSignal
-from .stft import threshold_denoise
+from .stft import threshold_denoise, worker_count
 
 DENOISE_KINDS = ("tv_denoise_s1", "tv_denoise_s2", "tv_denoise_s3", "tv_denoise_s4")
 EXPERIMENTS = DENOISE_KINDS + ("multicomponent", "segmentation")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -33,15 +43,15 @@ class BenchSpec:
     n_realizations: int = 20
     seed: int = 0
     config: PipelineConfig = field(default_factory=PipelineConfig)
-    n_jobs: int = 1
 
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("need at least one realization")
         if not self.snr_levels:
             raise ValueError("snr_levels must be non-empty")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
+        for level in self.snr_levels:
+            if not np.isfinite(level):
+                raise ValueError(f"SNR level {level} dB is not finite")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
 
@@ -50,27 +60,28 @@ def _cell_seed(base: int, level_idx: int, realization: int) -> int:
     return int(np.random.SeedSequence([base, level_idx, realization]).generate_state(1)[0])
 
 
-def _sweep(spec: BenchSpec, cell_fn, *extra) -> list[tuple[float, list[dict]]]:
-    """Run cell_fn on (snr level, derived seed, *extra) for every level and
+def _sweep(spec: BenchSpec, cell_fn, make_cell) -> list[tuple[float, list[dict]]]:
+    """Run cell_fn on make_cell(snr level, derived seed) for every level and
     realization; returns (level, that level's cell outputs) pairs."""
     cells = [
-        (level, _cell_seed(spec.seed, li, k), *extra)
+        make_cell(level, _cell_seed(spec.seed, li, k))
         for li, level in enumerate(spec.snr_levels)
         for k in range(spec.n_realizations)
     ]
-    raw = _run_cells(cell_fn, cells, spec.n_jobs)
+    raw = _run_cells(cell_fn, cells)
     n = spec.n_realizations
     return [(level, raw[i * n : (i + 1) * n]) for i, level in enumerate(spec.snr_levels)]
 
 
 def _summary_rows(groups, keys, stats) -> list[dict]:
     """Per level: failed cells, then each named statistic and the count of
-    the finite values of every key."""
+    the finite values of every key. A cell holds one value or a list of
+    values per key."""
     table = []
     for level, cells in groups:
         row = {"snr_in": level, "failures": sum("error" in cell for cell in cells)}
         for m in keys:
-            vals = [cell[m] for cell in cells if m in cell and np.isfinite(cell[m])]
+            vals = [v for cell in cells if m in cell for v in np.atleast_1d(cell[m]) if np.isfinite(v)]
             for name, fn in stats:
                 row[f"{m}_{name}"] = float(fn(vals)) if vals else None
             row[f"{m}_n"] = len(vals)
@@ -102,7 +113,7 @@ def _denoise_cell(args):
 def run_denoise_bench(spec: BenchSpec) -> dict:
     """SNR_out tables for our method, the fixed-shape baseline, and
     hard/soft STFT thresholding, per input SNR level."""
-    groups = _sweep(spec, _denoise_cell, spec.experiment, spec.config)
+    groups = _sweep(spec, _denoise_cell, lambda level, seed: (level, seed, spec.experiment, spec.config))
     methods = ("ours", "lr", "stft_hard", "stft_soft")
     table = _summary_rows(groups, methods, (("mean", np.mean), ("std", np.std)))
     return {"experiment": spec.experiment, "rows": table, "methods": list(methods)}
@@ -111,6 +122,11 @@ def run_denoise_bench(spec: BenchSpec) -> dict:
 # -- multicomponent decomposition --------------------------------------------
 
 def _decompose_cell(args):
+    """Deflate the multicomponent record at snr_db (noise seed `seed`) into
+    two stages. Each stage is matched to the component whose mean
+    frequency is nearest its ridge's, and its SNR_out is appended to that
+    component's `comp<k>_ours` and `comp<k>_lr` lists; so two stages on one
+    component give that component two values and the other none."""
     snr_db, seed, cfg = args
     x, gt = generate(SyntheticSpec("multicomponent"))
     noisy = add_noise(x, snr_db, seed)
@@ -127,8 +143,8 @@ def _decompose_cell(args):
             ]
             ci = int(np.argmin([abs(fm - f) for f in ifs]))
             ref = RealSignal(gt.components[ci].clean, fs)
-            out[f"comp{ci + 1}_ours"] = snr_out(ref, res.reconstruction)
-            out[f"comp{ci + 1}_lr"] = snr_out(ref, res.lr_reconstruction)
+            out.setdefault(f"comp{ci + 1}_ours", []).append(snr_out(ref, res.reconstruction))
+            out.setdefault(f"comp{ci + 1}_lr", []).append(snr_out(ref, res.lr_reconstruction))
         total = parts[0].reconstruction.samples.copy()
         for res in parts[1:]:
             total += res.reconstruction.samples
@@ -139,7 +155,7 @@ def _decompose_cell(args):
 
 
 def run_decompose_bench(spec: BenchSpec) -> dict:
-    groups = _sweep(spec, _decompose_cell, spec.config)
+    groups = _sweep(spec, _decompose_cell, lambda level, seed: (level, seed, spec.config))
     keys = ("comp1_ours", "comp1_lr", "comp2_ours", "comp2_lr", "sum")
     table = _summary_rows(groups, keys, (("mean", np.mean),))
     return {"experiment": "multicomponent", "rows": table, "methods": list(keys)}
@@ -148,12 +164,12 @@ def run_decompose_bench(spec: BenchSpec) -> dict:
 # -- segmentation -------------------------------------------------------------
 
 def _segment_cell(args):
-    snr_db, seed, cfg = args
-    rng = np.random.default_rng(seed)
-    r = int(rng.integers(3, 7))
+    """Segment a sharp-transition record with r harmonics, drawn with
+    gen_seed and noised at snr_db with noise_seed."""
+    snr_db, gen_seed, noise_seed, r, cfg = args
     spec = SyntheticSpec("sharp_transition", params={"draw": True, "kappa": 50.0, "r": r})
-    x, gt = generate(spec, seed=seed)
-    noisy = add_noise(x, snr_db, seed + 1)
+    x, gt = generate(spec, seed=gen_seed)
+    noisy = add_noise(x, snr_db, noise_seed)
     out = {"t_true": gt.t_transition}
     try:
         with warnings.catch_warnings():
@@ -167,8 +183,12 @@ def _segment_cell(args):
 
 
 def run_segment_bench(spec: BenchSpec) -> dict:
+    def make_cell(level, seed):
+        # r is drawn from the cell seed, the record with it, the noise with seed + 1
+        return level, seed, seed + 1, int(np.random.default_rng(seed).integers(3, 7)), spec.config
+
     table = []
-    for level, cells in _sweep(spec, _segment_cell, spec.config):
+    for level, cells in _sweep(spec, _segment_cell, make_cell):
         errs = [c["abs_error"] for c in cells if "error" not in c and c.get("abs_error") is not None]
         table.append(
             {
@@ -183,11 +203,32 @@ def run_segment_bench(spec: BenchSpec) -> dict:
     return {"experiment": "segmentation", "rows": table}
 
 
-def _run_cells(fn, cells, n_jobs):
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread-count variables to 1 for the processes spawned
+    inside the block, and give the caller's values back afterwards."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+def _run_cells(fn, cells):
+    """[fn(c) for c in cells], computed on one spawned process per usable
+    CPU (`stft.worker_count`), each at one BLAS thread. A spawned process
+    reads the variables when its numpy loads; a forked one would inherit
+    the caller's loaded BLAS and its thread count. fn must be importable
+    by name, and an exception a cell raises is raised here."""
+    with _one_blas_thread(), ProcessPoolExecutor(
+        max_workers=worker_count(len(cells)), mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        return list(pool.map(fn, cells))
 
 
 def run_bench(spec: BenchSpec) -> dict:

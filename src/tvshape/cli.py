@@ -122,7 +122,6 @@ def cmd_bench(args) -> int:
         n_realizations=args.n,
         seed=args.seed,
         config=cfg,
-        n_jobs=args.jobs,
     )
     result = run_bench(spec)
     csv_path, json_path = write_bench_outputs(result, args.out or _default_out_dir())
@@ -185,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("experiment", choices=EXPERIMENTS)
     b.add_argument("--snr", default="0,5,10,15,20", help="comma-separated input SNR levels, dB")
     b.add_argument("-n", type=int, default=20, help="realizations per level")
-    b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
     _add_config_flags(b)
     b.set_defaults(fn=cmd_bench)

@@ -32,9 +32,9 @@ The calling thread allocates every block buffer before the threads start,
 one set per worker, with BLOCK_ELEMENTS shared among them: a buffer a
 worker thread allocated itself would stay resident in that thread's
 malloc arena. Each call opens its own pool and joins it before returning,
-so no pool is left for a forked child (the bench's process pool) to
-inherit without its threads. A row is computed the same way whatever
-span and block hold it, so the output does not depend on the CPU count.
+so no pool is left for a forked child to inherit without its threads. A
+row is computed the same way whatever span and block hold it, so the
+output does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -141,15 +141,17 @@ def fft_length(n_samples: int, window_length: int) -> int:
     return 1 << int(np.ceil(np.log2(need)))
 
 
-def worker_count(n_rows: int) -> int:
-    """Threads for a pass over n_rows frame rows: one per CPU this process
-    may run on, as many as os.cpu_count() where the affinity mask cannot be
-    read, never more than there are rows."""
+def worker_count(n_items: int) -> int:
+    """Workers for n_items independent items: one per CPU this process may
+    run on, as many as os.cpu_count() where the affinity mask cannot be
+    read, never more than there are items. The STFT runs that many threads
+    over its frame rows, and the bench that many processes over its
+    Monte-Carlo cells."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_rows))
+    return max(1, min(cpus, n_items))
 
 
 def _band_store(rows: int, cols: int) -> np.ndarray:

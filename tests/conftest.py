@@ -1,10 +1,11 @@
 import os
 
-# One BLAS thread, as perfbench/run.py pins it. A fit's last bits depend on
-# the BLAS thread count, so every figure the suite prints is then the same
-# on any machine, and the acceptance Monte-Carlo cells, one process per CPU,
-# do not compete for the CPUs with each other's BLAS threads. Read when
-# numpy loads its BLAS, so it must come before the first numpy import.
+# One BLAS thread, as perfbench/run.py and the bench's process pool pin it.
+# A fit's last bits depend on the BLAS thread count, so every figure the
+# suite computes in its own process is then the same on any machine, and
+# equals what a bench cell computes in a pool process, which the bench
+# tests compare. Read when numpy loads its BLAS, so it must come before the
+# first numpy import.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -1,12 +1,10 @@
 """Acceptance suite: every criterion printed as one PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The Monte-Carlo sweeps
-use 20 realizations per cell and run one cell per usable CPU; every cell is
-seeded on its own and the results are collected in cell order, so the
-printed numbers are those of a one-cell-at-a-time run.
+Run with `pytest tests/test_acceptance.py -v -s`. Criteria 1, 3 and 4 are
+Monte-Carlo sweeps of 20 realizations per SNR level, run through the
+bench's own experiment cells (`tvshape.bench`) on its process pool, with
+the seeds given here; a cell that records an error fails its criterion.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -21,14 +19,13 @@ from tvshape import (
     extend_boundaries,
     generate,
     preset,
-    segment,
     snr_out,
     spectral_entropy,
     trim,
     warm_start,
 )
 from tvshape import solver
-from tvshape.bench import BenchSpec, _run_cells, run_denoise_bench
+from tvshape.bench import BenchSpec, _decompose_cell, _run_cells, _segment_cell, run_denoise_bench
 from tvshape.pchip import pchip_eval
 from tvshape.solver import FitContext, fit, residual_and_jacobian
 from tvshape.model import HafNodes, HarmonicModel, WaveShapeModel, evaluate_model
@@ -37,12 +34,20 @@ from tvshape.stft import FundamentalEstimate
 from oracles import fd_jacobian
 
 CFG = preset("synthetic")
-N_JOBS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _report(criterion: str, ok: bool, detail: str):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{criterion}: {detail}"
+
+
+def _cells_without_error(cell_fn, cells):
+    """The bench cells' outputs, in cell order; fails on a cell that
+    recorded an error."""
+    out = _run_cells(cell_fn, cells)
+    errors = [cell["error"] for cell in out if "error" in cell]
+    assert not errors, f"{len(errors)} of {len(out)} cells failed, the first with {errors[0]}"
+    return out
 
 
 # -- criterion 1: denoising SNR curve -----------------------------------------
@@ -55,9 +60,10 @@ def denoise_table():
         n_realizations=20,
         seed=1234,
         config=CFG,
-        n_jobs=N_JOBS,
     )
     result = run_denoise_bench(spec)
+    failures = sum(row["failures"] for row in result["rows"])
+    assert not failures, f"{failures} denoising cells failed"
     return {row["snr_in"]: row for row in result["rows"]}
 
 
@@ -107,38 +113,16 @@ def test_criterion_2_noiseless_recovery():
 
 # -- criterion 3: multicomponent decomposition --------------------------------
 
-def _decomposition_cell(k):
-    """Realization k at 10 dB: (component, SNR_out, fixed-shape SNR_out) per
-    stage, and the SNR_out of the summed components."""
-    x, gt = generate(SyntheticSpec("multicomponent"))
-    comps = [RealSignal(c.clean, x.fs) for c in gt.components]
-    if_means = [
-        (c.phi1[-1] - c.phi1[0]) / (len(c.phi1) - 1) * x.fs for c in gt.components
-    ]
-    noisy = add_noise(x, 10.0, 5000 + k)
-    parts = decompose(noisy, [CFG], K=2)
-    total = np.zeros(len(x))
-    stages = []
-    for res in parts:
-        fm = float(np.mean(res.ridge.freq))
-        ci = int(np.argmin([abs(fm - f) for f in if_means]))
-        stages.append((ci, snr_out(comps[ci], res.reconstruction), snr_out(comps[ci], res.lr_reconstruction)))
-        total += res.reconstruction.samples
-    return stages, snr_out(x, x.with_samples(total))
-
-
 def test_criterion_3_multicomponent():
-    ours = {1: [], 2: []}
-    lr = {1: [], 2: []}
-    sums = []
-    for stages, total in _run_cells(_decomposition_cell, range(20), N_JOBS):
-        for ci, snr_ours, snr_lr in stages:
-            ours[ci + 1].append(snr_ours)
-            lr[ci + 1].append(snr_lr)
-        sums.append(total)
-    m_ours = {k: float(np.mean(v)) for k, v in ours.items()}
-    m_lr = {k: float(np.mean(v)) for k, v in lr.items()}
-    mean_sum = float(np.mean(sums))
+    # realization k at 10 dB draws its noise with seed 5000 + k
+    cells = _cells_without_error(_decompose_cell, [(10.0, 5000 + k, CFG) for k in range(20)])
+    def comp_mean(k, method):
+        # one value per stage matched to component k
+        return float(np.mean([v for cell in cells for v in cell.get(f"comp{k}_{method}", [])]))
+
+    m_ours = {k: comp_mean(k, "ours") for k in (1, 2)}
+    m_lr = {k: comp_mean(k, "lr") for k in (1, 2)}
+    mean_sum = float(np.mean([cell["sum"] for cell in cells]))
     ok = m_ours[1] > m_lr[1] and m_ours[2] > m_lr[2] and mean_sum >= 10.0
     _report(
         "3 multicomponent decomposition at 10 dB",
@@ -150,27 +134,20 @@ def test_criterion_3_multicomponent():
 
 # -- criterion 4: segmentation accuracy ----------------------------------------
 
-def _segmentation_cell(args):
-    """Absolute transition-time error of one trial, None if none was found."""
-    snr, trial, r = args
-    spec = SyntheticSpec("sharp_transition", params={"draw": True, "kappa": 50.0, "r": r})
-    x, gt = generate(spec, seed=100 + trial)
-    noisy = add_noise(x, snr, 10_000 * (int(snr) + 1) + trial)
-    res = segment(noisy, CFG)
-    return None if res.t_hat is None else abs(res.t_hat - gt.t_transition)
-
-
 @pytest.fixture(scope="module")
 def segmentation_medians():
+    # trial k draws its record with seed 100 + k and its noise with
+    # 10000 (snr + 1) + k; its r is the k-th draw of default_rng(7) at
+    # every level
     levels = (0.0, 10.0, 20.0)
     cells = []
     for snr in levels:
         rng = np.random.default_rng(7)
-        cells += [(snr, trial, int(rng.integers(3, 7))) for trial in range(20)]
-    errors = _run_cells(_segmentation_cell, cells, N_JOBS)
+        cells += [(snr, 100 + k, 10_000 * (int(snr) + 1) + k, int(rng.integers(3, 7)), CFG) for k in range(20)]
+    out = _cells_without_error(_segment_cell, cells)
     medians = {}
     for i, snr in enumerate(levels):
-        errs = [e for e in errors[20 * i : 20 * (i + 1)] if e is not None]
+        errs = [cell["abs_error"] for cell in out[20 * i : 20 * (i + 1)] if cell["abs_error"] is not None]
         medians[snr] = float(np.median(errs) * 1000)
     return medians
 

@@ -1,13 +1,23 @@
 import faulthandler
 import importlib
 import json
+import os
 import pickle
 
 import numpy as np
 import pytest
 
 from tvshape import PipelineStageError, RealSignal, preset, stft
-from tvshape.bench import BenchSpec, _run_cells, run_bench, write_bench_outputs
+from tvshape.bench import (
+    BLAS_THREAD_VARS,
+    BenchSpec,
+    _decompose_cell,
+    _denoise_cell,
+    _run_cells,
+    _segment_cell,
+    run_bench,
+    write_bench_outputs,
+)
 
 stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
@@ -26,18 +36,29 @@ def test_bench_spec_validation(cfg):
         BenchSpec(experiment="tv_denoise_s1", n_realizations=0)
     with pytest.raises(ValueError):
         BenchSpec(experiment="tv_denoise_s1", snr_levels=[])
-
-
-def test_bench_spec_rejects_fewer_than_one_job():
-    for n_jobs in (0, -3):
-        with pytest.raises(ValueError, match="n_jobs"):
-            BenchSpec(experiment="tv_denoise_s1", n_jobs=n_jobs)
+    # a non-finite level would be written to the JSON summary as NaN or Infinity
+    for level in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"SNR level {level} dB"):
+            BenchSpec(experiment="tv_denoise_s1", snr_levels=[10.0, float(level)])
 
 
 def test_process_pool_returns_the_sequential_result(cfg):
-    # two cells per process; the pool must hand back what the loop computes
-    kw = dict(experiment="segmentation", snr_levels=[10.0, 20.0], n_realizations=2, seed=4, config=cfg)
-    assert run_bench(BenchSpec(n_jobs=2, **kw)) == run_bench(BenchSpec(n_jobs=1, **kw))
+    # the pool must hand back, in cell order, what the loop computes
+    cells = [(snr, 4 + k, 40 + k, 3 + k, cfg) for snr in (10.0, 20.0) for k in range(2)]
+    assert _run_cells(_segment_cell, cells) == [_segment_cell(c) for c in cells]
+
+
+def _blas_thread_vars(_):
+    return [os.environ.get(var) for var in BLAS_THREAD_VARS]
+
+
+def test_pool_processes_run_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert _run_cells(_blas_thread_vars, range(3)) == [["1", "1", "1"]] * 3
+    # the caller's environment is given back, an unset variable unset
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert "MKL_NUM_THREADS" not in os.environ
 
 
 def _failing_cell(stage):
@@ -52,24 +73,25 @@ def test_stage_error_survives_a_process_pool():
     faulthandler.dump_traceback_later(FORK_TIMEOUT_S, exit=True)
     try:
         with pytest.raises(PipelineStageError) as err:
-            _run_cells(_failing_cell, ["nodes", "fit"], n_jobs=2)
+            _run_cells(_failing_cell, ["nodes", "fit"])
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert err.value.stage == "nodes" and isinstance(err.value.cause, ValueError)
 
 
 def test_process_pool_forked_after_a_threaded_stft(cfg, monkeypatch):
-    # every stft call joins its own thread pool before it returns, so a cell
-    # process forked afterwards inherits no pool whose threads are gone; the
-    # forked cells run threaded STFTs too
+    # the pool's processes are spawned, not forked, so they inherit none of
+    # the caller's threads; this keeps the case the forked pool needed: a
+    # pool opened right after a threaded stft in the caller, whose cells run
+    # threaded STFTs of their own
     monkeypatch.setattr(stft_module, "worker_count", lambda n_rows: min(2, n_rows))
     stft(RealSignal(np.random.default_rng(0).standard_normal(2000), 2000.0), cfg.sigma)
-    kw = dict(experiment="tv_denoise_s1", snr_levels=[10.0], n_realizations=2, seed=6, config=cfg)
+    cells = [(10.0, 6 + k, "tv_denoise_s1", cfg) for k in range(2)]
     # a hung cell would block the run forever: end the process instead, with
     # every thread's stack on stderr (visible under -s)
     faulthandler.dump_traceback_later(FORK_TIMEOUT_S, exit=True)
     try:
-        assert run_bench(BenchSpec(n_jobs=2, **kw)) == run_bench(BenchSpec(n_jobs=1, **kw))
+        assert _run_cells(_denoise_cell, cells) == [_denoise_cell(c) for c in cells]
     finally:
         faulthandler.cancel_dump_traceback_later()
 
@@ -97,6 +119,16 @@ def test_decompose_bench_schema(cfg):
     row = result["rows"][0]
     for key in ("comp1_ours_mean", "comp2_ours_mean", "comp1_lr_mean", "sum_mean"):
         assert row[key] is not None and np.isfinite(row[key])
+    # the _n columns count stages, two per cell that ran
+    assert row["comp1_ours_n"] + row["comp2_ours_n"] == 2 * (2 - row["failures"])
+
+
+def test_decompose_cell_counts_every_stage(cfg):
+    # on this noise draw both stages land on component 2: the first at
+    # 3.50 dB, the second at 1.18 dB
+    out = _decompose_cell((10.0, 5002, cfg))
+    assert "error" not in out and "comp1_ours" not in out and "comp1_lr" not in out
+    assert len(out["comp2_ours"]) == len(out["comp2_lr"]) == 2
 
 
 def test_segment_bench_schema(cfg):

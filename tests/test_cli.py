@@ -282,7 +282,7 @@ def test_retired_fit_setting_at_another_value_usage_error(tmp_path, s1_csv, caps
 
 @pytest.mark.parametrize(
     "argv", [["denoise", "--seed", "1"], ["decompose", "--seed", "1"], ["segment", "--seed", "1"],
-             ["bench", "--fs", "2000"]],
+             ["bench", "--fs", "2000"], ["bench", "--jobs", "2"]],
 )
 def test_flag_the_command_does_not_read_usage_error(tmp_path, s1_csv, argv):
     target = "tv_denoise_s1" if argv[0] == "bench" else str(s1_csv)
@@ -305,6 +305,14 @@ def test_bench_command(tmp_path):
     assert row["ours_n"] == 2 and row["failures"] == 0
     for m in ("ours", "lr", "stft_hard", "stft_soft"):
         assert row[f"{m}_mean"] is not None
+
+
+@pytest.mark.parametrize("snr", ["inf", "nan", "10,-inf"])
+def test_bench_non_finite_snr_usage_error(tmp_path, capsys, snr):
+    out = tmp_path / "bench"
+    assert main(["bench", "tv_denoise_s1", "--snr", snr, "-n", "1", "--out", str(out)]) == EXIT_USAGE
+    assert "usage error: SNR level" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_model_roundtrip(tmp_path, s1_csv):
