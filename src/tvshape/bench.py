@@ -29,7 +29,7 @@ from .generators import SyntheticSpec, generate
 from .metrics import add_noise, snr_out
 from .pipeline import PipelineConfig, decompose, denoise, segment
 from .signals import RealSignal
-from .stft import threshold_denoise, worker_count
+from .stft import threshold_denoise_modes, worker_count
 
 DENOISE_KINDS = ("tv_denoise_s1", "tv_denoise_s2", "tv_denoise_s3", "tv_denoise_s4")
 EXPERIMENTS = DENOISE_KINDS + ("multicomponent", "segmentation")
@@ -103,8 +103,9 @@ def _denoise_cell(args):
     except Exception as exc:  # recorded per cell, the sweep continues
         out["error"] = repr(exc)
     try:
-        out["stft_hard"] = snr_out(x, threshold_denoise(noisy, cfg.sigma, "hard"))
-        out["stft_soft"] = snr_out(x, threshold_denoise(noisy, cfg.sigma, "soft"))
+        hard, soft = threshold_denoise_modes(noisy, cfg.sigma, ("hard", "soft"))
+        out["stft_hard"] = snr_out(x, hard)
+        out["stft_soft"] = snr_out(x, soft)
     except Exception as exc:
         out.setdefault("error", repr(exc))
     return out

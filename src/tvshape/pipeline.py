@@ -51,6 +51,7 @@ from .stft import (
 )
 
 MIN_NODES = 5            # node-budget floor per harmonic
+RIDGE_HEADROOM = 1.25    # stored band over the edges' cycle rate; workload ridges reach at most 1.07
 
 # Config keys of fields that held one value for every caller and are now
 # constants. Configs written before still carry them, so a key is read
@@ -238,11 +239,11 @@ def _denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool) -> DenoiseR
     ext = _staged(timings, "extend", extend_boundaries, x, c_fwd, c_bwd)
     xe = ext.extended
 
-    # the ridge walk and the fundamental's band sum read no higher than two
-    # harmonics of the edges' cycle, plus the band half-width and a ridge
-    # jump; a walk past that recomputes the spectrogram's full width, and
-    # the harmonics' band sums come from the record
-    max_freq = min(2, cfg.r_max) * x.fs / min(c_fwd, c_bwd) + delta + cfg.max_jump_hz
+    # the ridge walk and the fundamental's band sum read no higher than the
+    # edges' cycle rate with RIDGE_HEADROOM, plus the band half-width and a
+    # ridge jump; a read past that grows the band to the width read, or
+    # twice its width, and the harmonics' band sums come from the record
+    max_freq = RIDGE_HEADROOM * x.fs / min(c_fwd, c_bwd) + delta + cfg.max_jump_hz
     spec = _staged(timings, "stft", stft, xe, cfg.sigma, max_freq)
     fund, ridge = _staged(timings, "fundamental", estimate_fundamental, spec, cfg.max_jump_hz, delta)
     x_dem = _staged(timings, "demodulate", demodulate, xe, fund)

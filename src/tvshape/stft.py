@@ -23,10 +23,11 @@ memory map whose pages go back to the OS when the spectrogram is
 dropped. The spectrogram keeps the record and window it was computed
 from. A band sum that reaches past the stored bins is computed from the
 record (`vertical_reconstruct`): the record correlated with the window
-times the band's closed-form Dirichlet kernel. Only the ridge walk, which
-reads through `Spectrogram.bins`, recomputes: a read past the stored band
-transforms the full width once, by the same pass, and serves every later
-read from it.
+times the band's closed-form Dirichlet kernel. Only a read through
+`Spectrogram.bins` (the ridge walk, and the fundamental's band) recomputes:
+a read past the stored band transforms, by the same pass, the wider of the
+width read and twice the stored width, never more than every bin, and that
+band serves every later read within it.
 
 The calling thread allocates every block buffer before the threads start,
 one set per worker, with BLOCK_ELEMENTS shared among them: a buffer a
@@ -44,7 +45,7 @@ import mmap
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +55,7 @@ WINDOW_TRUNCATION = 1e-8
 GRID_WINDOWS = 4               # nfft stops growing with N past this many windows
 BLOCK_ELEMENTS = 262_144       # frame samples transformed per block of frames, all workers (5 MB of buffers)
 _RIDGE_BLOCK = 256             # ridge frames stepped at once
+_SUM_ROWS = 1024               # rows whose stored bands are gathered at once
 
 
 class ResolutionError(ValueError):
@@ -88,14 +90,19 @@ class Spectrogram:
 
     def bins(self, stop: int) -> np.ndarray:
         """Values holding at least bins 0..stop-1: the stored band when it
-        reaches that far, else the full-width transform, recomputed once
-        from the record, which replaces the band for every later read. The
-        band sums of `vertical_reconstruct` read past the band without it."""
-        if stop > self.values.shape[1]:
+        reaches that far, else a wider band recomputed from the record,
+        which replaces the stored one for every later read. The wider band
+        holds max(stop, 2 * stored) bins, at most all of them, so a walk
+        that climbs bin by bin recomputes about log2(nfft / stored) times,
+        not once per bin. The band sums of `vertical_reconstruct` read past
+        the band without it."""
+        stored = self.values.shape[1]
+        if stop > stored:
             if self.record is None:
-                raise ValueError(f"bin {stop - 1} lies past the {self.values.shape[1]} stored bins")
-            self.values = _transform(self.record, self.window, self.window_halfwidth, self.nfft,
-                                     self.freq_axis.size)[0]
+                raise ValueError(f"bin {stop - 1} lies past the {stored} stored bins")
+            keep = min(self.freq_axis.size, max(stop, 2 * stored))
+            self.values = None      # the old band's pages go back before the wider one is made
+            self.values = _transform(self.record, self.window, self.window_halfwidth, self.nfft, keep)[0]
         return self.values
 
     @property
@@ -314,9 +321,10 @@ def _walk(spec: Spectrogram, start: int, frames: np.ndarray, jump: int) -> np.nd
             a = np.maximum(pred - jump, 0)
             b = np.minimum(pred + jump + 1, n_freq)
             lo = np.minimum(a, n_freq - width)          # [a, b) lies in [lo, lo + width)
-            values = spec.bins(int(lo.max()) + width)
-            bands = np.lib.stride_tricks.sliding_window_view(values, width, axis=1)
-            mag = np.abs(bands[rows[fixed:], lo])
+            # one expression, so no name holds the band when a read past it
+            # makes `bins` replace it
+            mag = np.abs(np.lib.stride_tricks.sliding_window_view(
+                spec.bins(int(lo.max()) + width), width, axis=1)[rows[fixed:], lo])
             mag[(offsets < (a - lo)[:, None]) | (offsets >= (b - lo)[:, None])] = -1.0
             step = lo + np.argmax(mag, axis=1)
             moved = np.flatnonzero(step != guess[fixed:])
@@ -354,21 +362,32 @@ def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.nd
     if top > spec.values.shape[1] and spec.record is not None:
         out = _record_band_sums(spec, lo, hi)
     else:
-        # one-sided doubling: weight 2 everywhere except DC and Nyquist. The
-        # frames whose band holds w bins are summed together: indexing a
-        # width-w sliding view by (frame, lo) copies out only their bands.
-        values = spec.bins(top)
-        out = np.empty(spec.n_times, dtype=complex)
-        width = hi - lo
-        for w in np.unique(width):
-            rows = np.flatnonzero(width == w)
-            bands = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
-            out[rows] = 2.0 * bands[rows, lo[rows]].sum(axis=1)
-        dc, nyquist = lo == 0, hi == n_freq
-        out[dc] -= values[dc, 0]
-        out[nyquist] -= values[nyquist, -1]
+        out = _stored_band_sums(spec.bins(top), lo, hi, n_freq)
     out /= spec.nfft
     out /= spec.window_coverage
+    return out
+
+
+def _stored_band_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_freq: int) -> np.ndarray:
+    """Each row's weighted sum of values over bins [lo, hi), of n_freq:
+    weight 2 everywhere except DC and Nyquist.
+
+    The rows whose band holds w bins are summed together, _SUM_ROWS at a
+    time: indexing a width-w sliding view by (row, lo) copies out only
+    their bands, and a block bounds that copy. Each row is reduced on its
+    own, so the sums do not depend on the blocks.
+    """
+    out = np.empty(values.shape[0], dtype=complex)
+    width = hi - lo
+    for w in np.unique(width):
+        rows = np.flatnonzero(width == w)
+        bands = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
+        for b0 in range(0, rows.size, _SUM_ROWS):
+            block = rows[b0 : b0 + _SUM_ROWS]
+            out[block] = 2.0 * bands[block, lo[block]].sum(axis=1)
+    dc, nyquist = lo == 0, hi == n_freq
+    out[dc] -= values[dc, 0]
+    out[nyquist] -= values[nyquist, -1]
     return out
 
 
@@ -450,6 +469,9 @@ def estimate_fundamental(
     negative increments clipped to zero.
     """
     ridge = extract_ridge(spec, max_jump_hz)
+    # the band is summed from stored bins, grown if it falls short: a sum
+    # from the record differs in its last bits, and the fit follows them
+    spec.bins(int(np.searchsorted(spec.freq_axis, ridge.freq.max() + delta, side="right")))
     y = vertical_reconstruct(spec, ridge, delta)
     b1 = np.abs(y)
     scale = max(float(b1.max()), 0.0)
@@ -491,8 +513,16 @@ def threshold_denoise(x: RealSignal, sigma: float, mode: str = "hard") -> RealSi
     Threshold eta = 3*sqrt(2)*sigma_hat*||g||_2 applied to coefficient
     magnitudes, then full-band resynthesis trimmed to the input support.
     """
+    return threshold_denoise_modes(x, sigma, (mode,))[0]
+
+
+def threshold_denoise_modes(x: RealSignal, sigma: float, modes: tuple[str, ...]) -> list[RealSignal]:
+    """threshold_denoise(x, sigma, mode) for each of modes, from one
+    spectrogram and one threshold eta."""
     spec = stft(x, sigma)
-    sigma_hat = noise_sigma_estimate(spec)
-    eta = 3.0 * np.sqrt(2.0) * sigma_hat * spec.window_norm
-    spec.values = threshold_coefficients(spec.values, eta, mode)
-    return x.with_samples(full_band_resynthesis(spec))
+    eta = 3.0 * np.sqrt(2.0) * noise_sigma_estimate(spec) * spec.window_norm
+    out = []
+    for mode in modes:
+        thresholded = replace(spec, values=threshold_coefficients(spec.values, eta, mode))
+        out.append(x.with_samples(full_band_resynthesis(thresholded)))
+    return out

@@ -22,6 +22,22 @@ def fd_jacobian(gamma, ctx):
     return J
 
 
+def gathered_band_sums(values, lo, hi, n_freq):
+    """Each row's sum of values over bins [lo, hi) of n_freq, weight 2 but
+    1 at DC and Nyquist, with every row of one band width gathered in a
+    single (rows, width) copy."""
+    out = np.empty(values.shape[0], dtype=complex)
+    width = hi - lo
+    for w in np.unique(width):
+        rows = np.flatnonzero(width == w)
+        bands = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
+        out[rows] = 2.0 * bands[rows, lo[rows]].sum(axis=1)
+    dc, nyquist = lo == 0, hi == n_freq
+    out[dc] -= values[dc, 0]
+    out[nyquist] -= values[nyquist, -1]
+    return out
+
+
 def pelt_costs(z, penalty):
     """F and last of the PELT change-in-mean recurrence, one step per sample:
     F[t] is the least penalized cost of z[:t] (F[0] = -penalty), last[t] the

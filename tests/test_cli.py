@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -19,7 +20,9 @@ from tvshape import (
 )
 from tvshape.cli import EXIT_NO_RESULT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from tvshape.pipeline import RETIRED_KEYS
-from tvshape.stft import fft_length, gaussian_window
+from tvshape.stft import Spectrogram, fft_length, gaussian_window
+
+pipeline_module = importlib.import_module("tvshape.pipeline")
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,32 @@ def test_decompose_of_the_ip_record_finds_both_rhythms():
     )
     for (mean, bin_width), target in zip(found, (0.25, 1.4), strict=True):
         assert abs(mean - target) <= bin_width
+
+
+def test_decompose_of_the_ip_record_grows_no_band_past_its_reads(monkeypatch):
+    # stage 2's ridge walk reads past the band sized from the residual's
+    # edge cycles: the band grows to the width read, not to every bin
+    made, reads = [], {}
+    real_stft, real_bins = pipeline_module.stft, Spectrogram.bins
+
+    def recording_stft(*args):
+        spec = real_stft(*args)
+        made.append((spec, spec.values.shape[1]))
+        return spec
+
+    def recording_bins(self, stop):
+        reads[id(self)] = max(reads.get(id(self), 0), stop)
+        return real_bins(self, stop)
+
+    monkeypatch.setattr(pipeline_module, "stft", recording_stft)
+    monkeypatch.setattr(Spectrogram, "bins", recording_bins)
+    decompose(_ip_record(), [preset("ip", r_max=3)], K=2)
+    assert len(made) == 2
+    for spec, stored in made:
+        assert spec.values.shape[1] <= max(reads[id(spec)], 2 * stored)
+        assert spec.values.shape[1] < 0.25 * spec.freq_axis.size
+    spec, stored = made[1]
+    assert spec.values.shape[1] > stored
 
 
 def test_segment_command(tmp_path):

@@ -20,7 +20,8 @@ from tvshape import (
     segment,
     snr_out,
 )
-from tvshape.pipeline import RETIRED_KEYS
+from tvshape.pipeline import RETIRED_KEYS, RIDGE_HEADROOM
+from tvshape.stft import Spectrogram
 
 pipeline_module = importlib.import_module("tvshape.pipeline")
 
@@ -355,22 +356,24 @@ def test_reconstructions_sit_on_the_record_axis(cfg, noiseless_result, t0):
     assert res.reconstruction.t0 == res.lr_reconstruction.t0 == x.t0
 
 
-@pytest.fixture(scope="module")
-def biomedical_records():
-    # the benchmark's biomedical workload: the records acceptance criterion 6 builds
+def _workloads():
+    # the benchmark's workload records, built by perfbench/workloads.py
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module     # dataclasses look their module up here
     spec.loader.exec_module(module)
-    return {rec.name: rec for rec in module.biomedical()}
+    return module
 
 
-@pytest.mark.parametrize("name", ["eeg", "ecg", "ip"])
-def test_biomedical_record_stores_a_low_band_of_its_spectrogram(monkeypatch, biomedical_records, name):
-    rec = biomedical_records[name]
-    made, cycles = [], []
-    real_stft, real_cycle = pipeline_module.stft, pipeline_module.fractional_cycle_len
+WORKLOAD_RECORDS = {rec.name: rec for build in _workloads().WORKLOADS.values() for rec in build()}
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_RECORDS))
+def test_workload_record_stores_a_low_band_of_its_spectrogram(monkeypatch, name):
+    rec = WORKLOAD_RECORDS[name]
+    made, cycles, reads = [], [], []
+    real_stft, real_cycle, real_bins = pipeline_module.stft, pipeline_module.fractional_cycle_len, Spectrogram.bins
 
     def recording_stft(*args):
         spec = real_stft(*args)
@@ -381,20 +384,29 @@ def test_biomedical_record_stores_a_low_band_of_its_spectrogram(monkeypatch, bio
         cycles.append(real_cycle(*args))
         return cycles[-1]
 
+    def recording_bins(self, stop):
+        reads.append((stop, self.values.shape[1]))
+        return real_bins(self, stop)
+
     monkeypatch.setattr(pipeline_module, "stft", recording_stft)
     monkeypatch.setattr(pipeline_module, "fractional_cycle_len", recording_cycle)
+    monkeypatch.setattr(Spectrogram, "bins", recording_bins)
     if rec.driver == "decompose":
         decompose(rec.signal, [rec.cfg], K=rec.K)
+    elif rec.driver == "segment":
+        segment(rec.signal, rec.cfg)
     else:
         denoise(rec.signal, rec.cfg)
     assert len(made) == rec.K and len(cycles) == 2 * rec.K      # one spectrogram per stage
     delta = rec.cfg.resolved_delta(rec.signal.fs)
     for (spec, stored), edge_cycles in zip(made, np.reshape(cycles, (rec.K, 2)), strict=True):
-        # two harmonics of the shorter edge cycle, plus the band half-width and a ridge jump
-        top = min(2, rec.cfg.r_max) * spec.fs / edge_cycles.min() + delta + rec.cfg.max_jump_hz
+        # the shorter edge cycle's rate with the headroom, plus the band half-width and a ridge jump
+        top = RIDGE_HEADROOM * spec.fs / edge_cycles.min() + delta + rec.cfg.max_jump_hz
         assert stored <= np.count_nonzero(spec.freq_axis <= top) < 0.25 * spec.freq_axis.size
         # the harmonics' band sums came from the record: nothing was recomputed
         assert spec.values.shape[1] == stored
+    # every read of the ridge walk and the fundamental fell in the stored band
+    assert reads and all(stop <= stored for stop, stored in reads)
 
 
 def test_pipeline_deterministic(cfg):

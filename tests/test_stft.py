@@ -29,6 +29,8 @@ from tvshape.stft import (
     threshold_coefficients,
 )
 
+from oracles import gathered_band_sums
+
 stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
 FS = 2000.0
@@ -320,8 +322,13 @@ def test_reads_past_the_stored_band_equal_the_full_band():
     keep = band.values.shape[1]
     assert full.freq_axis[band.anchor[1]] < 60.0 < ridge.freq.max()
     assert extract_ridge(band, 2.0).freq.tobytes() == ridge.freq.tobytes()
-    assert band.values.shape[1] == full.freq_axis.size > keep       # recomputed once
-    assert band.values.tobytes() == full.values.tobytes()
+    # the band grew past the walk's reads, which end a ridge jump above its
+    # top bin, by doubling at most: not to the full width
+    grown = band.values.shape[1]
+    top = int(np.searchsorted(full.freq_axis, ridge.freq.max())) + 1
+    read = top + int(2.0 / full.bin_width)
+    assert top <= grown < 2 * read < full.freq_axis.size
+    assert band.values.tobytes() == full.values[:, :grown].tobytes()
     # a read inside the band keeps it
     covering = stft(x, SIGMA, 150.0)
     keep = covering.values.shape[1]
@@ -486,6 +493,31 @@ def test_vertical_reconstruct_equals_per_frame_sum_bitwise():
     assert 0 in widths and len(widths) > 3
 
 
+def test_row_blocked_band_sums_equal_the_one_shot_gather():
+    # every row is reduced on its own, so summing the rows a block at a time
+    # is bitwise the gather of all rows of a width at once: over 2 full
+    # blocks and a one-row block, widths either side of numpy's pairwise
+    # summation steps, bands from DC and to Nyquist, and mixed widths
+    n_rows = 2 * stft_module._SUM_ROWS + 1
+    x = RealSignal(np.random.default_rng(4).standard_normal(n_rows), FS)
+    spec = stft(x, 1e-2)
+    n_freq = spec.freq_axis.size
+    assert spec.values.shape == (n_rows, n_freq)
+    rng = np.random.default_rng(5)
+    cases = []
+    for w in (0, 1, 2, 7, 8, 9, 33, 129, n_freq):
+        lo = rng.integers(0, n_freq - w + 1, n_rows)
+        cases.append((lo, lo + w))
+    cases.append((np.zeros(n_rows, dtype=int), np.full(n_rows, n_freq)))
+    cases.append((np.zeros(n_rows, dtype=int), rng.integers(0, n_freq + 1, n_rows)))
+    cases.append((rng.integers(0, n_freq + 1, n_rows), np.full(n_rows, n_freq)))
+    lo = rng.integers(0, n_freq + 1, n_rows)
+    cases.append((lo, rng.integers(lo, n_freq + 1)))
+    for lo, hi in cases:
+        got = stft_module._stored_band_sums(spec.values, lo, hi, n_freq)
+        assert got.tobytes() == gathered_band_sums(spec.values, lo, hi, n_freq).tobytes()
+
+
 def test_phase_shift_invariance():
     spec0 = stft(_tone(40.0, 1.0, 0.0), SIGMA)
     spec1 = stft(_tone(40.0, 1.0, 0.9), SIGMA)
@@ -545,6 +577,23 @@ def test_threshold_self_reconstruction():
     out = threshold_denoise(x, SIGMA, "hard")
     assert len(out) == len(x)
     assert snr_out(x, out) >= 30.0
+
+
+def test_threshold_modes_from_one_spectrogram_equal_each_mode_alone(monkeypatch):
+    x = add_noise(_tone(40.0, 5.0), 10.0, 2)
+    alone = [threshold_denoise(x, SIGMA, mode) for mode in ("hard", "soft")]
+    made = []
+    real_stft = stft_module.stft
+
+    def counting_stft(*args):
+        made.append(args)
+        return real_stft(*args)
+
+    monkeypatch.setattr(stft_module, "stft", counting_stft)
+    both = stft_module.threshold_denoise_modes(x, SIGMA, ("hard", "soft"))
+    assert len(made) == 1
+    for y, ref in zip(both, alone, strict=True):
+        assert y.samples.tobytes() == ref.samples.tobytes()
 
 
 def test_threshold_coefficients_idempotent_and_soft_shrinks():
