@@ -3,7 +3,9 @@
 Each paper experiment is written here once, as a cell: one isolated
 pipeline run on one noise draw, with the seeds it is given. `tvshape bench`
 derives those seeds from its own seed; the acceptance suite runs the same
-cells with seeds of its own.
+cells with seeds of its own. `EXPERIMENT_TABLE` names each experiment's
+cell, the cell's argument, the values it tables and their statistics;
+`run_bench` runs any of them and `_summary_rows` builds every table.
 
 `_run_cells` runs the cells on one process per usable CPU. The processes
 are spawned with one BLAS thread each, so N processes do not oversubscribe
@@ -32,7 +34,6 @@ from .signals import RealSignal
 from .stft import threshold_denoise_modes, worker_count
 
 DENOISE_KINDS = ("tv_denoise_s1", "tv_denoise_s2", "tv_denoise_s3", "tv_denoise_s4")
-EXPERIMENTS = DENOISE_KINDS + ("multicomponent", "segmentation")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -60,28 +61,17 @@ def _cell_seed(base: int, level_idx: int, realization: int) -> int:
     return int(np.random.SeedSequence([base, level_idx, realization]).generate_state(1)[0])
 
 
-def _sweep(spec: BenchSpec, cell_fn, make_cell) -> list[tuple[float, list[dict]]]:
-    """Run cell_fn on make_cell(snr level, derived seed) for every level and
-    realization; returns (level, that level's cell outputs) pairs."""
-    cells = [
-        make_cell(level, _cell_seed(spec.seed, li, k))
-        for li, level in enumerate(spec.snr_levels)
-        for k in range(spec.n_realizations)
-    ]
-    raw = _run_cells(cell_fn, cells)
-    n = spec.n_realizations
-    return [(level, raw[i * n : (i + 1) * n]) for i, level in enumerate(spec.snr_levels)]
-
-
 def _summary_rows(groups, keys, stats) -> list[dict]:
     """Per level: failed cells, then each named statistic and the count of
     the finite values of every key. A cell holds one value or a list of
-    values per key."""
+    values per key; it failed when it recorded an error or left a value
+    None, and a None stays out of the statistics."""
     table = []
     for level, cells in groups:
-        row = {"snr_in": level, "failures": sum("error" in cell for cell in cells)}
+        failed = ["error" in cell or any(v is None for v in cell.values()) for cell in cells]
+        row = {"snr_in": level, "failures": sum(failed)}
         for m in keys:
-            vals = [v for cell in cells if m in cell for v in np.atleast_1d(cell[m]) if np.isfinite(v)]
+            vals = [v for cell in cells if cell.get(m) is not None for v in np.atleast_1d(cell[m]) if np.isfinite(v)]
             for name, fn in stats:
                 row[f"{m}_{name}"] = float(fn(vals)) if vals else None
             row[f"{m}_n"] = len(vals)
@@ -111,15 +101,6 @@ def _denoise_cell(args):
     return out
 
 
-def run_denoise_bench(spec: BenchSpec) -> dict:
-    """SNR_out tables for our method, the fixed-shape baseline, and
-    hard/soft STFT thresholding, per input SNR level."""
-    groups = _sweep(spec, _denoise_cell, lambda level, seed: (level, seed, spec.experiment, spec.config))
-    methods = ("ours", "lr", "stft_hard", "stft_soft")
-    table = _summary_rows(groups, methods, (("mean", np.mean), ("std", np.std)))
-    return {"experiment": spec.experiment, "rows": table, "methods": list(methods)}
-
-
 # -- multicomponent decomposition --------------------------------------------
 
 def _decompose_cell(args):
@@ -136,30 +117,18 @@ def _decompose_cell(args):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             parts = decompose(noisy, [cfg], K=len(gt.components))
-        fs = x.fs
+        # each component's mean frequency, from its phase's end points
+        ifs = [(c.phi1[-1] - c.phi1[0]) / (len(c.phi1) - 1) * x.fs for c in gt.components]
         for res in parts:
             fm = float(np.mean(res.ridge.freq))
-            ifs = [
-                (c.phi1[-1] - c.phi1[0]) / (len(c.phi1) - 1) * fs for c in gt.components
-            ]
             ci = int(np.argmin([abs(fm - f) for f in ifs]))
-            ref = RealSignal(gt.components[ci].clean, fs)
+            ref = RealSignal(gt.components[ci].clean, x.fs)
             out.setdefault(f"comp{ci + 1}_ours", []).append(snr_out(ref, res.reconstruction))
             out.setdefault(f"comp{ci + 1}_lr", []).append(snr_out(ref, res.lr_reconstruction))
-        total = parts[0].reconstruction.samples.copy()
-        for res in parts[1:]:
-            total += res.reconstruction.samples
-        out["sum"] = snr_out(x, x.with_samples(total))
+        out["sum"] = snr_out(x, x.with_samples(sum(res.reconstruction.samples for res in parts)))
     except Exception as exc:
         out["error"] = repr(exc)
     return out
-
-
-def run_decompose_bench(spec: BenchSpec) -> dict:
-    groups = _sweep(spec, _decompose_cell, lambda level, seed: (level, seed, spec.config))
-    keys = ("comp1_ours", "comp1_lr", "comp2_ours", "comp2_lr", "sum")
-    table = _summary_rows(groups, keys, (("mean", np.mean),))
-    return {"experiment": "multicomponent", "rows": table, "methods": list(keys)}
 
 
 # -- segmentation -------------------------------------------------------------
@@ -177,31 +146,10 @@ def _segment_cell(args):
             warnings.simplefilter("ignore")
             res = segment(noisy, cfg)
         out["t_hat"] = res.t_hat
-        out["abs_error"] = None if res.t_hat is None else abs(res.t_hat - gt.t_transition)
+        out["ae"] = None if res.t_hat is None else abs(res.t_hat - gt.t_transition)
     except Exception as exc:
         out["error"] = repr(exc)
     return out
-
-
-def run_segment_bench(spec: BenchSpec) -> dict:
-    def make_cell(level, seed):
-        # r is drawn from the cell seed, the record with it, the noise with seed + 1
-        return level, seed, seed + 1, int(np.random.default_rng(seed).integers(3, 7)), spec.config
-
-    table = []
-    for level, cells in _sweep(spec, _segment_cell, make_cell):
-        errs = [c["abs_error"] for c in cells if "error" not in c and c.get("abs_error") is not None]
-        table.append(
-            {
-                "snr_in": level,
-                "failures": len(cells) - len(errs),
-                "ae_median_ms": float(np.median(errs) * 1000) if errs else None,
-                "ae_q1_ms": float(np.percentile(errs, 25) * 1000) if errs else None,
-                "ae_q3_ms": float(np.percentile(errs, 75) * 1000) if errs else None,
-                "n": len(errs),
-            }
-        )
-    return {"experiment": "segmentation", "rows": table}
 
 
 @contextmanager
@@ -232,12 +180,51 @@ def _run_cells(fn, cells):
         return list(pool.map(fn, cells))
 
 
+def _segment_args(spec: BenchSpec, level: float, seed: int) -> tuple:
+    # r is drawn from the cell seed, the record with it, the noise with seed + 1
+    return level, seed, seed + 1, int(np.random.default_rng(seed).integers(3, 7)), spec.config
+
+
+# The experiment table. Per experiment: its cell; the cell's argument at an
+# SNR level and a derived seed; the cell values it tables; and the
+# (column suffix, statistic) pairs tabled per value.
+EXPERIMENT_TABLE = {
+    **dict.fromkeys(DENOISE_KINDS, (
+        _denoise_cell,
+        lambda spec, level, seed: (level, seed, spec.experiment, spec.config),
+        ("ours", "lr", "stft_hard", "stft_soft"),
+        (("mean", np.mean), ("std", np.std)),
+    )),
+    "multicomponent": (
+        _decompose_cell,
+        lambda spec, level, seed: (level, seed, spec.config),
+        ("comp1_ours", "comp1_lr", "comp2_ours", "comp2_lr", "sum"),
+        (("mean", np.mean),),
+    ),
+    "segmentation": (  # the absolute error, stored in s, is tabled in ms
+        _segment_cell,
+        _segment_args,
+        ("ae",),
+        (
+            ("median_ms", lambda v: np.median(v) * 1000),
+            ("q1_ms", lambda v: np.percentile(v, 25) * 1000),
+            ("q3_ms", lambda v: np.percentile(v, 75) * 1000),
+        ),
+    ),
+}
+EXPERIMENTS = tuple(EXPERIMENT_TABLE)
+
+
 def run_bench(spec: BenchSpec) -> dict:
-    if spec.experiment in DENOISE_KINDS:
-        return run_denoise_bench(spec)
-    if spec.experiment == "multicomponent":
-        return run_decompose_bench(spec)
-    return run_segment_bench(spec)
+    """Run the experiment's cell on every SNR level and realization, each
+    with its derived seed, and summarize each level's cells in one row."""
+    cell, make_args, keys, stats = EXPERIMENT_TABLE[spec.experiment]
+    n = spec.n_realizations
+    levels = list(enumerate(spec.snr_levels))
+    args = [make_args(spec, level, _cell_seed(spec.seed, li, k)) for li, level in levels for k in range(n)]
+    raw = _run_cells(cell, args)
+    groups = [(level, raw[li * n : (li + 1) * n]) for li, level in levels]
+    return {"experiment": spec.experiment, "rows": _summary_rows(groups, keys, stats), "methods": list(keys)}
 
 
 def write_bench_outputs(result: dict, out_dir: str | Path) -> tuple[Path, Path]:

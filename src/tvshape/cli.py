@@ -101,12 +101,12 @@ def cmd_segment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
     (out / f"{stem}_segmentation.json").write_text(res.to_json(), encoding="utf-8")
-    t = x.times()
+    t = x.times().tolist()
     for ell, trace in res.haf_traces.items():
         with open(out / f"{stem}_haf{ell}.csv", "w", encoding="utf-8") as fh:
             fh.write("t,alpha\n")
-            for ti, ai in zip(t, trace):
-                fh.write(f"{ti:.9g},{ai:.9g}\n")
+            for ti, ai in zip(t, trace):  # repr: the times read back as the same doubles
+                fh.write(f"{ti!r},{ai:.9g}\n")
     if res.t_hat is None:
         print("no wave-shape transition detected")
         return EXIT_NO_RESULT

@@ -25,7 +25,7 @@ from tvshape import (
     warm_start,
 )
 from tvshape import solver
-from tvshape.bench import BenchSpec, _decompose_cell, _run_cells, _segment_cell, run_denoise_bench
+from tvshape.bench import BenchSpec, _decompose_cell, _run_cells, _segment_cell, run_bench
 from tvshape.pchip import pchip_eval
 from tvshape.solver import FitContext, fit, residual_and_jacobian
 from tvshape.model import HafNodes, HarmonicModel, WaveShapeModel, evaluate_model
@@ -61,7 +61,7 @@ def denoise_table():
         seed=1234,
         config=CFG,
     )
-    result = run_denoise_bench(spec)
+    result = run_bench(spec)
     failures = sum(row["failures"] for row in result["rows"])
     assert not failures, f"{failures} denoising cells failed"
     return {row["snr_in"]: row for row in result["rows"]}
@@ -147,7 +147,7 @@ def segmentation_medians():
     out = _cells_without_error(_segment_cell, cells)
     medians = {}
     for i, snr in enumerate(levels):
-        errs = [cell["abs_error"] for cell in out[20 * i : 20 * (i + 1)] if cell["abs_error"] is not None]
+        errs = [cell["ae"] for cell in out[20 * i : 20 * (i + 1)] if cell["ae"] is not None]
         medians[snr] = float(np.median(errs) * 1000)
     return medians
 

@@ -15,6 +15,7 @@ from tvshape.bench import (
     _denoise_cell,
     _run_cells,
     _segment_cell,
+    _summary_rows,
     run_bench,
     write_bench_outputs,
 )
@@ -96,6 +97,23 @@ def test_process_pool_forked_after_a_threaded_stft(cfg, monkeypatch):
         faulthandler.cancel_dump_traceback_later()
 
 
+def test_summary_rows_one_failure_rule():
+    # a cell failed when it recorded an error or left a value None
+    mean = (("mean", np.mean),)
+    missed = {"t_true": 0.5, "t_hat": None, "ae": None}
+    (row,) = _summary_rows([(0.0, [missed, {"t_true": 0.5, "t_hat": 0.51, "ae": 0.01}])], ("ae",), mean)
+    assert row == {"snr_in": 0.0, "failures": 1, "ae_mean": 0.01, "ae_n": 1}
+    # a key holds one value or a list of them, one per decomposition stage
+    cells = [{"comp1_ours": [1.0, 3.0], "sum": 4.0}, {"comp1_ours": 2.0, "sum": 6.0}]
+    (row,) = _summary_rows([(10.0, cells)], ("comp1_ours", "sum"), mean)
+    assert (row["comp1_ours_mean"], row["comp1_ours_n"], row["sum_mean"], row["sum_n"]) == (2.0, 3, 5.0, 2)
+    assert row["failures"] == 0
+    # a denoise cell whose fit failed keeps its baselines' values and fails once
+    failed = {"error": "ValueError('x')", "stft_hard": 4.0, "stft_soft": 3.0}
+    (row,) = _summary_rows([(5.0, [failed])], ("ours", "stft_hard"), mean)
+    assert row == {"snr_in": 5.0, "failures": 1, "ours_mean": None, "ours_n": 0, "stft_hard_mean": 4.0, "stft_hard_n": 1}
+
+
 def test_denoise_bench_deterministic(cfg, tmp_path):
     spec = BenchSpec(
         experiment="tv_denoise_s1", snr_levels=[10.0], n_realizations=2, seed=3, config=cfg
@@ -137,7 +155,7 @@ def test_segment_bench_schema(cfg):
     )
     result = run_bench(spec)
     row = result["rows"][0]
-    assert row["n"] + row["failures"] == 2
-    if row["n"]:
+    assert row["ae_n"] + row["failures"] == 2
+    if row["ae_n"]:
         assert row["ae_median_ms"] >= 0.0
         assert row["ae_q1_ms"] <= row["ae_median_ms"] <= row["ae_q3_ms"]

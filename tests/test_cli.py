@@ -64,6 +64,28 @@ def test_unknown_flag_usage_error(s1_csv):
     assert main(["denoise", str(s1_csv), "--nope"]) == EXIT_USAGE
 
 
+def test_epoch_stamped_record_round_trips_through_the_commands(tmp_path, s1_csv):
+    # the s1 record stamped from 1.7e9 s, where doubles are 2.4e-7 s apart
+    x = read_signal_csv(s1_csv, fs=2000.0)
+    src = tmp_path / "epoch.csv"
+    write_signal_csv(src, RealSignal(x.samples, 2000.0, t0=1.7e9))
+    stamps = read_signal_csv(src).times()
+    out = tmp_path / "out"
+    assert main(["denoise", str(src), "--preset", "synthetic", "--fs", "2000", "--out", str(out)]) == EXIT_OK
+    assert np.array_equal(read_signal_csv(out / "epoch_denoised.csv").times(), stamps)
+    assert main(["segment", str(src), "--preset", "synthetic", "--out", str(out)]) in (EXIT_OK, EXIT_NO_RESULT)
+    haf = sorted(out.glob("epoch_haf*.csv"))
+    assert haf and all(read_signal_csv(path).t0 == 1.7e9 for path in haf)
+
+
+def test_non_numeric_cell_usage_error(tmp_path, capsys):
+    src = tmp_path / "text.csv"
+    src.write_text("t,value\n0,1\n0.0005,n/a\n0.001,3\n")
+    assert main(["denoise", str(src), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "usage error: line 3: non-numeric cell in '0.0005,n/a'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_decompose_command(tmp_path):
     x, _ = generate(SyntheticSpec("multicomponent"))
     noisy = add_noise(x, 10.0, 1)

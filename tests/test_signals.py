@@ -60,3 +60,45 @@ def test_csv_header_optional():
     without = read_signal_csv(io.StringIO("0,1\n0.1,2\n0.2,3\n"))
     assert np.allclose(with_header.samples, without.samples)
     assert with_header.fs == pytest.approx(without.fs)
+
+
+T0_EPOCH = 1.7e9     # an epoch-stamped record: seconds since 1970
+
+
+@pytest.mark.parametrize("n", [2000, 200])
+def test_csv_roundtrip_of_an_epoch_stamped_record(tmp_path, n):
+    # at 1.7e9 s the doubles are 2.4e-7 s apart: the times must be written
+    # exactly, and fs read from the span, not from one quantized step
+    s = RealSignal(np.sin(np.arange(n) / 7.0), fs=2000.0, t0=T0_EPOCH)
+    path = tmp_path / "epoch.csv"
+    write_signal_csv(path, s)
+    back = read_signal_csv(path)
+    assert back.t0 == T0_EPOCH
+    assert back.fs == pytest.approx(2000.0, rel=1e-6)
+    given = read_signal_csv(path, fs=2000.0)
+    assert given.fs == 2000.0 and np.array_equal(given.times(), s.times())
+
+
+def test_csv_refuses_an_fs_beyond_the_time_column_resolution():
+    text = "".join(f"{k / 2000.0!r},0\n" for k in range(2000))
+    with pytest.raises(ValueError, match="supplied fs=2000.1 disagrees with time column"):
+        read_signal_csv(io.StringIO(text), fs=2000.1)
+    assert read_signal_csv(io.StringIO(text), fs=2000.0).fs == 2000.0
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("t,value\n0,1\n0.1,abc\n0.2,3\n", 3),   # a text value
+        ("t,value\n0,1\n0.1,2\n\nx,3\n", 5),     # a text time, after a blank line
+        ("0,1\n0.1,\n0.2,3\n", 2),               # an empty cell
+    ],
+)
+def test_csv_refuses_a_non_numeric_cell_naming_its_line(text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: non-numeric cell"):
+        read_signal_csv(io.StringIO(text))
+
+
+def test_csv_refuses_a_row_of_another_width_naming_its_line():
+    with pytest.raises(ValueError, match="^line 3 has 1 columns, not 2"):
+        read_signal_csv(io.StringIO("t,value\n0,1\n0.1\n0.2,3\n"))
