@@ -60,15 +60,10 @@ def fractional_cycle_len(x: RealSignal) -> float:
     return float(k)
 
 
-def _cubic_at(arr: np.ndarray, j: float) -> float:
-    """Catmull-Rom interpolation of arr at fractional index j."""
-    b = int(np.floor(j))
-    return _catmull_rom(arr, b, j - b)
-
-
-def _catmull_rom(arr, b: int, f: float) -> float:
+def _catmull_rom(arr, b, f):
     """Catmull-Rom interpolation of arr between arr[b] and arr[b + 1], at
-    fraction f of the way; b may count from the end."""
+    fraction f of the way; b may count from the end. b and f may be arrays
+    of the same shape, one interpolation per element."""
     p0, p1, p2, p3 = arr[b - 1], arr[b], arr[b + 1], arr[b + 2]
     return p1 + 0.5 * f * (
         p2 - p0 + f * (2 * p0 - 5 * p1 + 4 * p2 - p3 + f * (3 * (p1 - p2) + p3 - p0))
@@ -84,9 +79,12 @@ def _seasonal_ar_forecast(w: np.ndarray, season: float, n_ahead: int) -> np.ndar
     """
     m = w.size
     start = int(np.ceil(season)) + 1
-    z = np.array([w[t] - _cubic_at(w, t - season) for t in range(start, m)])
+    back = np.arange(start, m) - season          # one season before each sample
+    b = np.floor(back).astype(int)
+    z = w[start:] - _catmull_rom(w, b, back - b)
     order = min(AR_ORDER, max(1, z.size - 1))
-    rows = np.array([z[i - order : i][::-1] for i in range(order, z.size)])
+    # row i is z[i + order - 1], ..., z[i]; a strided view changes rows.T @ rows' BLAS bits
+    rows = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(z[:-1], order)[:, ::-1])
     targets = z[order:]
     # small ridge keeps the fit tame when the seasonal difference is tiny
     A = rows.T @ rows + 1e-8 * np.eye(order)

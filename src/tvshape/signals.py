@@ -91,6 +91,8 @@ def read_signal_csv(path_or_buf, fs: float | None = None) -> RealSignal:
         return RealSignal(data[:, 0], fs=fs)
     if data.shape[1] != 2:
         raise ValueError(f"expected 1 or 2 columns, got {data.shape[1]}")
+    if data.shape[0] < 2:       # one time stamp spans no time to read fs from
+        raise ValueError("signal needs at least 2 samples in a 1-d array")
     t, v = data[:, 0], data[:, 1]
     if np.any(np.diff(t) <= 0):
         raise ValueError("time column must be strictly increasing")

@@ -21,13 +21,14 @@ into the ridge's anchor, the first global |F| maximum. Only the bins up
 to the caller's max_freq are then copied out and stored, in an anonymous
 memory map whose pages go back to the OS when the spectrogram is
 dropped. The spectrogram keeps the record and window it was computed
-from. A band sum that reaches past the stored bins is computed from the
-record (`vertical_reconstruct`): the record correlated with the window
-times the band's closed-form Dirichlet kernel. Only a read through
-`Spectrogram.bins` (the ridge walk, and the fundamental's band) recomputes:
-a read past the stored band transforms, by the same pass, the wider of the
-width read and twice the stored width, never more than every bin, and that
-band serves every later read within it.
+from, and derives its frequency grid and window coverage. A band sum
+that reaches past the stored bins is computed from the record
+(`vertical_reconstruct`): the record correlated with the window times
+the band's closed-form Dirichlet kernel. Only a read through
+`Spectrogram.bins` (the ridge walk, and the fundamental's band)
+recomputes: a read past the stored band transforms, by the same pass,
+the wider of the width read and twice the stored width, never more than
+every bin, and that band serves every later read within it.
 
 The calling thread allocates every block buffer before the threads start,
 one set per worker, with BLOCK_ELEMENTS shared among them: a buffer a
@@ -71,22 +72,18 @@ class Spectrogram:
 
     values may hold only the low bins 0..K-1 of the nfft/2+1 on freq_axis;
     read bins through `bins`, which recomputes the rest from record and
-    window when asked for them (a spectrogram built without them cannot).
-    anchor is the (frame, bin) of the first |F| maximum over all bins in
-    time-major order, None when every entry is zero; `stft` finds it in
-    its FFT pass.
+    window when asked for them (a spectrogram built without a record
+    cannot). anchor is the (frame, bin) of the first |F| maximum over all
+    bins in time-major order, None when every entry is zero; `stft` finds
+    it in its FFT pass. freq_axis and window_coverage are derived.
     """
 
     values: np.ndarray            # (N, K) complex, bins 0..K-1
-    freq_axis: np.ndarray         # Hz, all nfft/2+1 bins, strictly increasing, max fs/2
     fs: float
-    window_norm: float            # ||g||_2
-    window_halfwidth: int         # samples, truncation at 1e-8
     nfft: int
-    window_coverage: np.ndarray   # in-record window mass per frame
+    window: np.ndarray = field(repr=False)   # g, 2 * half + 1 taps, g(0) = 1 in the middle
     anchor: tuple[int, int] | None
     record: np.ndarray | None = field(default=None, repr=False)   # samples the values came from
-    window: np.ndarray | None = field(default=None, repr=False)   # g, 2 * window_halfwidth + 1 taps
 
     def bins(self, stop: int) -> np.ndarray:
         """Values holding at least bins 0..stop-1: the stored band when it
@@ -102,8 +99,23 @@ class Spectrogram:
                 raise ValueError(f"bin {stop - 1} lies past the {stored} stored bins")
             keep = min(self.freq_axis.size, max(stop, 2 * stored))
             self.values = None      # the old band's pages go back before the wider one is made
-            self.values = _transform(self.record, self.window, self.window_halfwidth, self.nfft, keep)[0]
+            self.values = _transform(self.record, self.window, self.nfft, keep)[0]
         return self.values
+
+    @functools.cached_property
+    def freq_axis(self) -> np.ndarray:
+        """Hz, all nfft/2+1 bins, strictly increasing, max fs/2."""
+        return _frequency_grid(self.fs, self.nfft)
+
+    @functools.cached_property
+    def window_coverage(self) -> np.ndarray:
+        """Fraction of the window mass falling inside the record, per frame."""
+        half, n = self.window.size // 2, self.n_times
+        cg = np.concatenate([[0.0], np.cumsum(self.window)])
+        n_idx = np.arange(n)
+        lo = np.maximum(0, half - n_idx)
+        hi = np.minimum(2 * half, half + (n - 1 - n_idx))
+        return (cg[hi + 1] - cg[lo]) / cg[-1]
 
     @property
     def n_times(self) -> int:
@@ -119,6 +131,11 @@ class Ridge:
     """Per-sample frequency track of one component."""
 
     freq: np.ndarray              # Hz, one entry per time index
+
+
+def _frequency_grid(fs: float, nfft: int) -> np.ndarray:
+    """The nfft/2+1 one-sided bin frequencies, Hz."""
+    return np.arange(nfft // 2 + 1) * (fs / nfft)
 
 
 def gaussian_window(sigma: float) -> tuple[np.ndarray, int]:
@@ -172,7 +189,7 @@ def _band_store(rows: int, cols: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=complex, count=count).reshape(rows, cols)
 
 
-def _transform(samples: np.ndarray, g: np.ndarray, half: int, nfft: int,
+def _transform(samples: np.ndarray, g: np.ndarray, nfft: int,
                keep: int) -> tuple[np.ndarray, tuple[int, int] | None]:
     """Bins 0..keep-1 of every frame's windowed FFT, and the (frame, bin) of
     the first |F| maximum over all bins in time-major order (None if all
@@ -185,7 +202,7 @@ def _transform(samples: np.ndarray, g: np.ndarray, half: int, nfft: int,
     tie anchors at the earliest frame whatever the block and span
     boundaries.
     """
-    n_rows, n_bins = samples.size, nfft // 2 + 1
+    n_rows, n_bins, half = samples.size, nfft // 2 + 1, g.size // 2
     padded = np.concatenate([np.zeros(half), samples, np.zeros(half)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
     values = _band_store(n_rows, keep)
@@ -235,30 +252,11 @@ def stft(x: RealSignal, sigma: float, max_freq: float | None = None) -> Spectrog
         )
     if max_freq is not None and not max_freq >= 0:
         raise ValueError(f"max_freq must be non-negative, got {max_freq}")
-    N = len(x)
-    nfft = fft_length(N, 2 * half + 1)
-    freq_axis = np.arange(nfft // 2 + 1) * (x.fs / nfft)
-    n_bins = freq_axis.size
-    keep = n_bins if max_freq is None else max(1, int(np.searchsorted(freq_axis, max_freq, side="right")))
-    values, anchor = _transform(x.samples, g, half, nfft, keep)
-    # fraction of the window mass falling inside the record, per frame
-    cg = np.concatenate([[0.0], np.cumsum(g)])
-    n_idx = np.arange(N)
-    lo = np.maximum(0, half - n_idx)
-    hi = np.minimum(2 * half, half + (N - 1 - n_idx))
-    coverage = (cg[hi + 1] - cg[lo]) / cg[-1]
-    return Spectrogram(
-        values=values,
-        freq_axis=freq_axis,
-        fs=x.fs,
-        window_norm=float(np.linalg.norm(g)),
-        window_halfwidth=half,
-        nfft=nfft,
-        window_coverage=coverage,
-        anchor=anchor,
-        record=x.samples,
-        window=g,
-    )
+    nfft = fft_length(len(x), 2 * half + 1)
+    freq_axis = _frequency_grid(x.fs, nfft)
+    keep = freq_axis.size if max_freq is None else max(1, int(np.searchsorted(freq_axis, max_freq, side="right")))
+    values, anchor = _transform(x.samples, g, nfft, keep)
+    return Spectrogram(values, x.fs, nfft, g, anchor, x.samples)
 
 
 def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
@@ -408,7 +406,7 @@ def _record_band_sums(spec: Spectrogram, lo: np.ndarray, hi: np.ndarray) -> np.n
     whose w = 1 case, halved, is the DC and (shifted) Nyquist term; and each
     distinct band takes one inverse FFT.
     """
-    half, nfft, n_freq, n = spec.window_halfwidth, spec.nfft, spec.freq_axis.size, spec.n_times
+    half, nfft, n_freq, n = spec.window.size // 2, spec.nfft, spec.freq_axis.size, spec.n_times
     size = max(nfft, 1 << int(np.ceil(np.log2(n + half))))
     m = np.arange(-half, half + 1)
     inner = m != 0
@@ -504,7 +502,7 @@ def noise_sigma_estimate(spec: Spectrogram) -> float:
     sqrt(2) reappears in the denoising threshold.
     """
     med = float(np.median(np.abs(spec.bins(spec.freq_axis.size).real)))
-    return med / (0.6745 * spec.window_norm)
+    return med / (0.6745 * float(np.linalg.norm(spec.window)))
 
 
 def threshold_denoise(x: RealSignal, sigma: float, mode: str = "hard") -> RealSignal:
@@ -520,7 +518,7 @@ def threshold_denoise_modes(x: RealSignal, sigma: float, modes: tuple[str, ...])
     """threshold_denoise(x, sigma, mode) for each of modes, from one
     spectrogram and one threshold eta."""
     spec = stft(x, sigma)
-    eta = 3.0 * np.sqrt(2.0) * noise_sigma_estimate(spec) * spec.window_norm
+    eta = 3.0 * np.sqrt(2.0) * noise_sigma_estimate(spec) * np.linalg.norm(spec.window)
     out = []
     for mode in modes:
         thresholded = replace(spec, values=threshold_coefficients(spec.values, eta, mode))

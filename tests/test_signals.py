@@ -55,6 +55,24 @@ def test_csv_single_column_needs_fs():
     assert len(s) == 3 and s.fs == 10.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, fs",
+    [
+        ("t,value\n0,1\n", None),
+        ("t,value\n0,1\n", 2000.0),
+        ("0,1\n", None),
+        ("0,1\n", 2000.0),
+        ("1\n", 2000.0),                  # one row of a single-column file
+    ],
+)
+def test_csv_refuses_a_single_row_as_too_few_samples(text, fs):
+    # a one-row time column spans no time: the file is refused as a
+    # one-sample signal, without dividing by the zero span first
+    with pytest.raises(ValueError, match="^signal needs at least 2 samples"):
+        read_signal_csv(io.StringIO(text), fs=fs)
+
+
 def test_csv_header_optional():
     with_header = read_signal_csv(io.StringIO("t,value\n0,1\n0.1,2\n0.2,3\n"))
     without = read_signal_csv(io.StringIO("0,1\n0.1,2\n0.2,3\n"))

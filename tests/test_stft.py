@@ -43,7 +43,8 @@ def _tone(f=40.0, a=1.0, phase=0.0, n=2000):
 
 
 def _interior(spec):
-    return slice(spec.window_halfwidth, spec.n_times - spec.window_halfwidth)
+    half = spec.window.size // 2
+    return slice(half, spec.n_times - half)
 
 
 def test_window_truncation_level():
@@ -161,8 +162,7 @@ def test_ridge_matches_full_magnitude_search(monkeypatch, block):
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 1.0, (6, 20)) + 0j
     values[1, 3] = values[4, 15] = 5.0
-    tied = Spectrogram(values, np.arange(20.0), fs=38.0, window_norm=1.0, window_halfwidth=1,
-                       nfft=38, window_coverage=np.ones(6), anchor=_first_max(values))
+    tied = Spectrogram(values, fs=38.0, nfft=38, window=np.ones(1), anchor=_first_max(values))
     ridge = extract_ridge(tied, 2.0)
     assert ridge.freq[1] == 3.0
     assert np.array_equal(ridge.freq, _reference_ridge(tied, 2.0))
@@ -171,11 +171,10 @@ def test_ridge_matches_full_magnitude_search(monkeypatch, block):
 def _unit_bin_spectrogram(values):
     """Spectrogram of the given bins, 1 Hz apart from DC, so that a max jump
     of J Hz is a corridor of +-J bins."""
-    n_time, n_freq = values.shape
+    n_freq = values.shape[1]
     nfft = max(2 * (n_freq - 1), 1)
-    return Spectrogram(values.astype(complex), np.arange(float(n_freq)), fs=float(nfft),
-                       window_norm=1.0, window_halfwidth=1, nfft=nfft,
-                       window_coverage=np.ones(n_time), anchor=_first_max(values))
+    return Spectrogram(values.astype(complex), fs=float(nfft), nfft=nfft, window=np.ones(1),
+                       anchor=_first_max(values))
 
 
 def _edge_hugging(n_time, n_freq):
@@ -359,8 +358,7 @@ def test_reads_past_the_stored_band_equal_the_full_band():
         vertical_reconstruct(band, Ridge(freq=np.full(ridge.freq.size, FS / 2 - delta / 2)), delta)
     assert band.values.shape[1] == keep
     # a band built by hand has no record to compute its missing bins from
-    hand = Spectrogram(full.values[:, :5], full.freq_axis, FS, 1.0, 1, full.nfft, np.ones(full.n_times),
-                       _first_max(full.values[:, :5]))
+    hand = Spectrogram(full.values[:, :5], FS, full.nfft, np.ones(1), _first_max(full.values[:, :5]))
     with pytest.raises(ValueError, match="past the 5 stored bins"):
         vertical_reconstruct(hand, ridge, delta)
 
@@ -426,10 +424,24 @@ def test_long_record_ridge_tracks_chirp(long_chirp):
     assert np.max(np.abs(ridge.freq[sl] - true_if[sl])) <= 2 * spec.bin_width
 
 
+@pytest.mark.parametrize("n", [300, 60])       # records longer and shorter than the 85-tap window
+def test_window_coverage_is_the_in_record_window_mass(n):
+    # each frame's share of the window, its taps inside the record summed
+    # directly: the first and last half + 1 frames, and one in between
+    spec = stft(_tone(n=n), 1e-2)
+    g = spec.window
+    half = g.size // 2
+    assert g.size == 85 and spec.n_times == n
+    for frame in [*range(half + 1), *range(n - half - 1, n), n // 2]:
+        taps = np.arange(frame - half, frame + half + 1)
+        inside = g[(taps >= 0) & (taps < n)].sum()
+        assert spec.window_coverage[frame] == pytest.approx(inside / g.sum(), rel=1e-12)
+
+
 def test_long_record_keeps_extended_one_second_bin_width(long_chirp):
     _, spec = long_chirp
     # a 1 s record extended by 10% per side (2400 samples) has the same grid
-    assert spec.bin_width == FS / fft_length(2400, 2 * spec.window_halfwidth + 1) == FS / 4096
+    assert spec.bin_width == FS / fft_length(2400, spec.window.size) == FS / 4096
 
 
 def test_vertical_reconstruct_amplitude_and_phase():
