@@ -8,15 +8,14 @@ fitted reconstruction, and repeats on the residual.
 import numpy as np
 
 from tvshape import RealSignal, SyntheticSpec, add_noise, decompose, generate, preset, snr_out
+from tvshape.stft import mean_frequency
 
 x, truth = generate(SyntheticSpec("multicomponent"))
 noisy = add_noise(x, 10.0, seed=3)
 
 parts = decompose(noisy, [preset("synthetic")], K=2)
 
-if_means = [
-    (c.phi1[-1] - c.phi1[0]) / (len(c.phi1) - 1) * x.fs for c in truth.components
-]
+if_means = [mean_frequency(c.phi1, x.fs) for c in truth.components]
 print(f"true component mean frequencies: {[f'{v:.1f} Hz' for v in if_means]}")
 
 total = np.zeros(len(x))

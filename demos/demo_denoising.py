@@ -13,8 +13,7 @@ noisy = add_noise(clean, SNR_IN, seed=42)
 cfg = preset("synthetic")
 
 res = denoise(noisy, cfg)
-hard = threshold_denoise(noisy, cfg.sigma, "hard")
-soft = threshold_denoise(noisy, cfg.sigma, "soft")
+hard, soft = threshold_denoise(noisy, cfg.sigma)
 
 print(f"input SNR: {SNR_IN:g} dB")
 print(f"adaptive wave-shape fit : {snr_out(clean, res.reconstruction):6.2f} dB")

@@ -31,7 +31,7 @@ from .generators import SyntheticSpec, generate
 from .metrics import add_noise, snr_out
 from .pipeline import PipelineConfig, decompose, denoise, segment
 from .signals import RealSignal
-from .stft import threshold_denoise_modes, worker_count
+from .stft import mean_frequency, threshold_denoise, worker_count
 
 DENOISE_KINDS = ("tv_denoise_s1", "tv_denoise_s2", "tv_denoise_s3", "tv_denoise_s4")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -93,7 +93,7 @@ def _denoise_cell(args):
     except Exception as exc:  # recorded per cell, the sweep continues
         out["error"] = repr(exc)
     try:
-        hard, soft = threshold_denoise_modes(noisy, cfg.sigma, ("hard", "soft"))
+        hard, soft = threshold_denoise(noisy, cfg.sigma)
         out["stft_hard"] = snr_out(x, hard)
         out["stft_soft"] = snr_out(x, soft)
     except Exception as exc:
@@ -117,8 +117,7 @@ def _decompose_cell(args):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             parts = decompose(noisy, [cfg], K=len(gt.components))
-        # each component's mean frequency, from its phase's end points
-        ifs = [(c.phi1[-1] - c.phi1[0]) / (len(c.phi1) - 1) * x.fs for c in gt.components]
+        ifs = [mean_frequency(c.phi1, x.fs) for c in gt.components]
         for res in parts:
             fm = float(np.mean(res.ridge.freq))
             ci = int(np.argmin([abs(fm - f) for f in ifs]))

@@ -8,7 +8,7 @@ import numpy as np
 
 from .model import HafNodes, HarmonicModel, WaveShapeModel
 from .signals import RealSignal
-from .stft import FundamentalEstimate
+from .stft import FundamentalEstimate, mean_frequency
 
 ENERGY_FRACTION = 0.9   # share of the envelope's spectral energy the node budget resolves
 
@@ -72,14 +72,13 @@ def estimate_order(x_demod: RealSignal, phi1: np.ndarray, r_max: int) -> int:
     For each candidate r the fixed-shape linear model (cos/sin columns at
     integer multiples of phi1) is least-squares fitted and
     rss_order_criterion scored on its residual sum of squares; the arg-min
-    r is returned.
+    r is returned. r_max drops below Nyquist's limit and below the first r
+    whose design is rank-deficient, with a warning each.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     phi1 = np.asarray(phi1, dtype=float)
-    n = len(x_demod)
-    mean_if = (phi1[-1] - phi1[0]) / (n - 1) * x_demod.fs
-    nyquist_r = int(np.floor(0.5 * x_demod.fs / mean_if))
+    nyquist_r = int(np.floor(0.5 * x_demod.fs / mean_frequency(phi1, x_demod.fs)))
     if nyquist_r < r_max:
         warnings.warn(
             f"r_max reduced from {r_max} to {nyquist_r}: harmonics would cross Nyquist",
@@ -88,20 +87,17 @@ def estimate_order(x_demod: RealSignal, phi1: np.ndarray, r_max: int) -> int:
         r_max = max(1, nyquist_r)
 
     design = harmonic_design(phi1, range(1, r_max + 1))
-    # ill-conditioned high orders: keep the largest well-conditioned prefix
-    while r_max > 1:
-        cols = design[:, : 2 * r_max]
-        if np.linalg.matrix_rank(cols) == 2 * r_max:
-            break
-        warnings.warn(f"design matrix rank-deficient at r={r_max}; reducing", stacklevel=2)
-        r_max -= 1
-
     y = x_demod.samples
-    energy = float(np.sum(y**2))
+    n, energy = y.size, float(np.sum(y**2))
     best_r, best_score = 1, np.inf
     for r in range(1, r_max + 1):
         cols = design[:, : 2 * r]
-        coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
+        coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
+        # ill-conditioned high orders: the prefixes are nested, so every one
+        # past the first rank-deficient prefix is rank-deficient too
+        if r > 1 and rank < 2 * r:
+            warnings.warn(f"design matrix rank-deficient at r={r}; reducing to r_max={r - 1}", stacklevel=2)
+            break
         rss = float(np.sum((y - cols @ coef) ** 2))
         score = rss_order_criterion(n, rss, r, energy)
         if score < best_score:

@@ -67,10 +67,7 @@ class GroundTruth:
 
     def synthesize(self) -> np.ndarray:
         """Clean signal before mean removal (sum over components)."""
-        total = np.zeros_like(self.components[0].b1)
-        for comp in self.components:
-            total = total + comp.synthesize()
-        return total
+        return sum(comp.clean for comp in self.components)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), default=np.ndarray.tolist)
@@ -111,10 +108,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        for name in ("duration", "fs"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         allowed = _TRANSITION_PARAMS if self.kind == "sharp_transition" else set()
         unknown = sorted(set(self.params) - allowed)
         if unknown:

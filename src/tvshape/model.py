@@ -173,25 +173,23 @@ class WaveShapeModel:
     def from_json(cls, text: str) -> "WaveShapeModel":
         """Inverse of to_json; files without the fundamental or the degenerate
         flags (written before they were saved) load with None and False. A
-        missing or ill-typed entry raises ValueError naming its key."""
+        missing, ill-typed or non-finite entry raises ValueError naming its key."""
         raw = json.loads(text)
         top = "the model file"
         harmonics = []
         for ell, h in enumerate(_entry(raw, "harmonics", list, top), start=2):
             where, at = f"harmonic l={ell}", f"a node of harmonic l={ell}"
-            nodes = [(_entry(n, "t", _NUMBER, at), _entry(n, "a", _NUMBER, at))
-                     for n in _entry(h, "nodes", list, where)]
+            nodes = [(_finite(n, "t", at), _finite(n, "a", at)) for n in _entry(h, "nodes", list, where)]
             harmonics.append(HarmonicModel(
-                e=float(_entry(h, "e", _NUMBER, where)),
-                c=float(_entry(h, "c", _NUMBER, where)),
+                e=float(_finite(h, "e", where)),
+                c=float(_finite(h, "c", where)),
                 nodes=HafNodes(np.array([t for t, _ in nodes]), np.array([a for _, a in nodes])),
                 degenerate=_entry(h, "degenerate", bool, where, default=False),
             ))
         f = _entry(raw, "fundamental", (dict, type(None)), top, default=None)
         if f is not None:
             where = "the fundamental"
-            b1 = np.array(_entry(f, "B1", list, where), dtype=float)
-            phi1 = np.array(_entry(f, "phi1", list, where), dtype=float)
+            b1, phi1 = (_finite(f, key, where, list) for key in ("B1", "phi1"))
             fs = float(_entry(f, "fs", _NUMBER, where))
             if b1.shape != phi1.shape:
                 raise ValueError(f"{where}'s 'B1' and 'phi1' differ in length ({b1.size} and {phi1.size})")
@@ -227,6 +225,20 @@ def _entry(obj, key: str, kinds, where: str, default=_REQUIRED):
     value = obj[key]
     if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
         raise ValueError(f"{where}'s {key!r} has the wrong type ({type(value).__name__})")
+    return value
+
+
+def _finite(obj, key: str, where: str, kinds=_NUMBER) -> np.ndarray:
+    """obj[key] (see _entry), a number or a list, as a float array; refused
+    unless all of it is finite numbers (Python's json reads NaN, Infinity
+    and integers too large for a double)."""
+    value = _entry(obj, key, kinds, where)
+    try:
+        value = np.array(value, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        value = np.nan
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{where}'s {key!r} holds a non-finite or non-numeric value")
     return value
 
 

@@ -101,13 +101,11 @@ def _slope_rules(h, m, want_jac=False):
     return d, dd_dm
 
 
-def _slopes_and_jacobian(times, amps, want_jac=True):
+def _slopes_and_jacobian(times, amps):
     """Slopes and d slopes / d amps of nodes that passed _check_nodes."""
     n = times.size
     h = np.diff(times)
-    d, dd_dm = _slope_rules(h, np.diff(amps) / h, want_jac)
-    if not want_jac:
-        return d, None
+    d, dd_dm = _slope_rules(h, np.diff(amps) / h, want_jac=True)
     # chain secants back to amplitudes: m_j = (y_{j+1} - y_j)/h_j
     dm_dy = np.zeros((n - 1, n))
     idx = np.arange(n - 1)
@@ -164,7 +162,8 @@ def pchip_curve(times: np.ndarray, amps: np.ndarray, query: np.ndarray) -> Curve
     """Check the nodes, then evaluate the curve at the query times."""
     times, amps = _check_nodes(times, amps)
     query = np.asarray(query, dtype=float)
-    d, _ = _slopes_and_jacobian(times, amps, want_jac=False)
+    h = np.diff(times)
+    d, _ = _slope_rules(h, np.diff(amps) / h)
     j = _locate(times, query)
     vals, w = _hermite(times[j], times[j + 1], amps[j], amps[j + 1], d[j], d[j + 1], query)
     return Curve(times, amps, query, j, w, vals)

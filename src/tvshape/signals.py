@@ -48,11 +48,11 @@ class RealSignal:
         return RealSignal(np.asarray(samples, dtype=float), self.fs, self.t0)
 
 
-def _parse_row(lineno: int, line: str) -> list[float]:
+def _number(cell: str) -> float | None:
     try:
-        return [float(v) for v in line.split(",")]
+        return float(cell)
     except ValueError:
-        raise ValueError(f"line {lineno}: non-numeric cell in {line!r}") from None
+        return None
 
 
 def read_signal_csv(path_or_buf, fs: float | None = None) -> RealSignal:
@@ -61,8 +61,8 @@ def read_signal_csv(path_or_buf, fs: float | None = None) -> RealSignal:
     Accepted layouts: two columns ``t,value`` (fs inferred from the time
     column's span; a supplied fs is used when it agrees to the column's
     resolution) or a single ``value`` column (fs must be supplied). A
-    header row is optional and detected by non-numeric content; any other
-    non-numeric or empty cell is refused with its line number.
+    header row is optional: a first row none of whose cells is a number.
+    Any other non-numeric or empty cell is refused with its line number.
     """
     if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
         with open(path_or_buf, "r", encoding="utf-8") as fh:
@@ -72,9 +72,7 @@ def read_signal_csv(path_or_buf, fs: float | None = None) -> RealSignal:
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty CSV")
-    try:
-        _parse_row(*lines[0])
-    except ValueError:
+    if all(_number(cell) is None for cell in lines[0][1].split(",")):
         lines = lines[1:]  # a header row
     try:
         data = np.loadtxt([ln for _, ln in lines], delimiter=",", ndmin=2)
@@ -82,7 +80,9 @@ def read_signal_csv(path_or_buf, fs: float | None = None) -> RealSignal:
         # loadtxt counts only the rows it is given: name the file's line
         width = len(lines[0][1].split(","))
         for lineno, line in lines:
-            if len(_parse_row(lineno, line)) != width:
+            if None in [_number(cell) for cell in line.split(",")]:
+                raise ValueError(f"line {lineno}: non-numeric cell in {line!r}") from None
+            if len(line.split(",")) != width:
                 raise ValueError(f"line {lineno} has {len(line.split(','))} columns, not {width}") from None
         raise
     if data.shape[1] == 1:

@@ -46,7 +46,7 @@ import mmap
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -436,12 +436,18 @@ def _record_band_sums(spec: Spectrogram, lo: np.ndarray, hi: np.ndarray) -> np.n
     return out
 
 
-def full_band_resynthesis(spec: Spectrogram) -> np.ndarray:
-    """Real signal recovered from all bins (exact inverse of stft)."""
-    w = np.full(spec.freq_axis.size, 2.0)
+def _resynthesis(values: np.ndarray, nfft: int) -> np.ndarray:
+    """Real signal from every one-sided bin of an nfft-point STFT: weight 2
+    on interior bins, 1 at DC and Nyquist."""
+    w = np.full(nfft // 2 + 1, 2.0)
     w[0] = 1.0
     w[-1] = 1.0
-    return (spec.bins(w.size) @ w).real / spec.nfft
+    return (values @ w).real / nfft
+
+
+def full_band_resynthesis(spec: Spectrogram) -> np.ndarray:
+    """Real signal recovered from all bins (exact inverse of stft)."""
+    return _resynthesis(spec.bins(spec.freq_axis.size), spec.nfft)
 
 
 @dataclass
@@ -454,7 +460,12 @@ class FundamentalEstimate:
 
     def mean_if(self) -> float:
         """Average instantaneous frequency in Hz."""
-        return float((self.phi1[-1] - self.phi1[0]) / (len(self.phi1) - 1) * self.fs)
+        return mean_frequency(self.phi1, self.fs)
+
+
+def mean_frequency(phi: np.ndarray, fs: float) -> float:
+    """Mean frequency, Hz, of a phase track in cycles sampled at fs."""
+    return float((phi[-1] - phi[0]) / (len(phi) - 1) * fs)
 
 
 def estimate_fundamental(
@@ -481,16 +492,11 @@ def estimate_fundamental(
     return FundamentalEstimate(B1=b1, phi1=phi1, fs=spec.fs), ridge
 
 
-def threshold_coefficients(values: np.ndarray, eta: float, mode: str) -> np.ndarray:
-    """Hard/soft thresholding of complex STFT coefficients at level eta."""
+def threshold_coefficients(values: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hard- and soft-thresholded copies of complex STFT coefficients at level eta."""
     mag = np.abs(values)
-    if mode == "hard":
-        return np.where(mag < eta, 0.0, values)
-    if mode == "soft":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(mag > 0, np.maximum(mag - eta, 0.0) / np.where(mag > 0, mag, 1.0), 0.0)
-        return values * scale
-    raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
+    shrink = np.maximum(mag - eta, 0.0) / np.where(mag > 0, mag, 1.0)    # 0 where |F| = 0
+    return np.where(mag < eta, 0.0, values), values * shrink
 
 
 def noise_sigma_estimate(spec: Spectrogram) -> float:
@@ -505,22 +511,13 @@ def noise_sigma_estimate(spec: Spectrogram) -> float:
     return med / (0.6745 * float(np.linalg.norm(spec.window)))
 
 
-def threshold_denoise(x: RealSignal, sigma: float, mode: str = "hard") -> RealSignal:
-    """STFT-thresholding denoiser (baseline).
+def threshold_denoise(x: RealSignal, sigma: float) -> tuple[RealSignal, RealSignal]:
+    """STFT-thresholding denoisers (baselines): (hard, soft).
 
-    Threshold eta = 3*sqrt(2)*sigma_hat*||g||_2 applied to coefficient
-    magnitudes, then full-band resynthesis trimmed to the input support.
+    One spectrogram and one threshold eta = 3*sqrt(2)*sigma_hat*||g||_2 on
+    coefficient magnitudes, then each thresholded set's full-band
+    resynthesis, trimmed to the input support.
     """
-    return threshold_denoise_modes(x, sigma, (mode,))[0]
-
-
-def threshold_denoise_modes(x: RealSignal, sigma: float, modes: tuple[str, ...]) -> list[RealSignal]:
-    """threshold_denoise(x, sigma, mode) for each of modes, from one
-    spectrogram and one threshold eta."""
     spec = stft(x, sigma)
     eta = 3.0 * np.sqrt(2.0) * noise_sigma_estimate(spec) * np.linalg.norm(spec.window)
-    out = []
-    for mode in modes:
-        thresholded = replace(spec, values=threshold_coefficients(spec.values, eta, mode))
-        out.append(x.with_samples(full_band_resynthesis(thresholded)))
-    return out
+    return tuple(x.with_samples(_resynthesis(v, spec.nfft)) for v in threshold_coefficients(spec.values, eta))

@@ -1,8 +1,11 @@
 """Reference computations the tests compare the package against."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from tvshape.pchip import _check_nodes, _slopes_and_jacobian
+from tvshape.pchip import _check_nodes, _slope_rules
+from tvshape.stft import full_band_resynthesis, noise_sigma_estimate, stft
 
 
 def fd_jacobian(gamma, ctx):
@@ -108,5 +111,23 @@ def seasonal_ar_forecast(w, season, n_ahead, order=4):
 
 def pchip_slopes(times, amps):
     """Node slopes of the shape-preserving cubic through (times, amps)."""
-    d, _ = _slopes_and_jacobian(*_check_nodes(times, amps), want_jac=False)
-    return d
+    times, amps = _check_nodes(times, amps)
+    h = np.diff(times)
+    return _slope_rules(h, np.diff(amps) / h)[0]
+
+
+def threshold_denoise_mode(x, sigma, mode):
+    """One STFT-thresholding baseline on its own: the spectrogram, the
+    threshold eta = 3*sqrt(2)*sigma_hat*||g||_2, the `mode` ("hard" or
+    "soft") thresholded copy of the spectrogram and its full-band
+    resynthesis."""
+    spec = stft(x, sigma)
+    eta = 3.0 * np.sqrt(2.0) * noise_sigma_estimate(spec) * np.linalg.norm(spec.window)
+    mag = np.abs(spec.values)
+    if mode == "hard":
+        values = np.where(mag < eta, 0.0, spec.values)
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(mag > 0, np.maximum(mag - eta, 0.0) / np.where(mag > 0, mag, 1.0), 0.0)
+        values = spec.values * scale
+    return x.with_samples(full_band_resynthesis(replace(spec, values=values)))

@@ -379,6 +379,13 @@ MALFORMED_MODELS = {
     "not a JSON object": lambda raw: [raw],
     "'fs'": lambda raw: {**raw, "fundamental": {**raw["fundamental"], "fs": 0}},
     "'B1'": lambda raw: {**raw, "fundamental": {**raw["fundamental"], "B1": raw["fundamental"]["B1"][:-5]}},
+    # non-finite numbers, which Python's json reads as NaN and Infinity
+    "'t' holds a non-finite": lambda raw: {**raw, "harmonics": [{**raw["harmonics"][0], "nodes": [
+        {"t": float("nan"), "a": 0.5}, {"t": 0.05, "a": 0.4}]}]},
+    "'e' holds a non-finite": lambda raw: {**raw, "harmonics": [{**raw["harmonics"][0], "e": float("inf")}]},
+    "'c' holds a non-finite": lambda raw: {**raw, "harmonics": [{**raw["harmonics"][0], "c": float("nan")}]},
+    "'phi1' holds a non-finite": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "phi1": [float("nan")] + raw["fundamental"]["phi1"][1:]}},
 }
 
 

@@ -111,6 +111,18 @@ def test_order_selection_clamps_r_max_at_nyquist():
     assert r <= 3  # 4*300 Hz would cross Nyquist
 
 
+def test_order_selection_stops_at_a_rank_deficient_design():
+    # phi1 = n / 4 cycles at 2 kHz: harmonic 2 sits at Nyquist, where its
+    # sine column sin(pi n) is zero, so the r = 2 design has rank 3
+    n = np.arange(2000)
+    phi1 = 0.25 * n
+    xd = RealSignal(np.cos(2 * np.pi * phi1) + 0.01 * np.random.default_rng(0).standard_normal(n.size), FS)
+    with pytest.warns(UserWarning) as caught:
+        assert estimate_order(xd, phi1, r_max=8) == 1
+    ranks = [str(w.message) for w in caught if "rank-deficient" in str(w.message)]
+    assert ranks == ["design matrix rank-deficient at r=2; reducing to r_max=1"]
+
+
 def test_warm_start_recovers_linear_coefficients():
     # x = cos + 0.5 cos(2.) + 0.2 sin(2.): a2=0.5, b2=0.2, c2=0.4
     n = 2000

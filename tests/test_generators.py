@@ -51,6 +51,9 @@ def test_determinism_with_random_draws():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         SyntheticSpec("no_such_kind")
+    for field, value in (("duration", 0.0), ("duration", float("nan")), ("fs", float("inf")), ("fs", -1.0)):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            SyntheticSpec("tv_denoise_s1", **{field: value})
     with pytest.raises(ValueError):
         generate(SyntheticSpec("sharp_transition", params={"kappa": -1.0}))
     with pytest.raises(ValueError):

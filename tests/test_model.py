@@ -226,6 +226,21 @@ MALFORMED = {
         **raw, "fundamental": {**raw["fundamental"], "fs": float("inf")}},
     "the fundamental's 'B1' and 'phi1' differ in length": lambda raw: {
         **raw, "fundamental": {**raw["fundamental"], "B1": raw["fundamental"]["B1"][:-5]}},
+    # Python's json reads the literals NaN and Infinity, and integers of any size
+    "a node of harmonic l=2's 't' holds a non-finite or non-numeric value": lambda raw: {
+        **raw, "harmonics": [{**raw["harmonics"][0], "nodes": [{"t": float("nan"), "a": 0.5}]}, raw["harmonics"][1]]},
+    "a node of harmonic l=3's 'a' holds a non-finite or non-numeric value": lambda raw: {
+        **raw, "harmonics": [raw["harmonics"][0], {**raw["harmonics"][1], "nodes": [{"t": 0.0, "a": -float("inf")}]}]},
+    "harmonic l=2's 'e' holds a non-finite or non-numeric value": lambda raw: {
+        **raw, "harmonics": [{**raw["harmonics"][0], "e": float("inf")}, raw["harmonics"][1]]},
+    "harmonic l=3's 'c' holds a non-finite or non-numeric value": lambda raw: {
+        **raw, "harmonics": [raw["harmonics"][0], {**raw["harmonics"][1], "c": float("nan")}]},
+    "harmonic l=3's 'e' holds a non-finite or non-numeric value": lambda raw: {
+        **raw, "harmonics": [raw["harmonics"][0], {**raw["harmonics"][1], "e": 10**400}]},
+    "the fundamental's 'B1' holds a non-finite or non-numeric value": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "B1": ["x"] + raw["fundamental"]["B1"][1:]}},
+    "the fundamental's 'phi1' holds a non-finite or non-numeric value": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "phi1": raw["fundamental"]["phi1"][:-1] + [float("inf")]}},
 }
 
 

@@ -110,6 +110,9 @@ def test_csv_refuses_an_fs_beyond_the_time_column_resolution():
         ("t,value\n0,1\n0.1,abc\n0.2,3\n", 3),   # a text value
         ("t,value\n0,1\n0.1,2\n\nx,3\n", 5),     # a text time, after a blank line
         ("0,1\n0.1,\n0.2,3\n", 2),               # an empty cell
+        # a first row with a number in it is data, not a header
+        ("0,\n0.1,2\n0.2,3\n", 1),
+        ("0,abc\n0.1,2\n0.2,3\n", 1),
     ],
 )
 def test_csv_refuses_a_non_numeric_cell_naming_its_line(text, line):

@@ -29,7 +29,7 @@ from tvshape.stft import (
     threshold_coefficients,
 )
 
-from oracles import gathered_band_sums
+from oracles import gathered_band_sums, threshold_denoise_mode
 
 stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
@@ -586,14 +586,14 @@ def test_noise_sigma_estimate_tracks_half_variance():
 
 def test_threshold_self_reconstruction():
     x = _tone(40.0, 5.0)
-    out = threshold_denoise(x, SIGMA, "hard")
+    out, _ = threshold_denoise(x, SIGMA)
     assert len(out) == len(x)
     assert snr_out(x, out) >= 30.0
 
 
 def test_threshold_modes_from_one_spectrogram_equal_each_mode_alone(monkeypatch):
     x = add_noise(_tone(40.0, 5.0), 10.0, 2)
-    alone = [threshold_denoise(x, SIGMA, mode) for mode in ("hard", "soft")]
+    alone = [threshold_denoise_mode(x, SIGMA, mode) for mode in ("hard", "soft")]
     made = []
     real_stft = stft_module.stft
 
@@ -602,7 +602,7 @@ def test_threshold_modes_from_one_spectrogram_equal_each_mode_alone(monkeypatch)
         return real_stft(*args)
 
     monkeypatch.setattr(stft_module, "stft", counting_stft)
-    both = stft_module.threshold_denoise_modes(x, SIGMA, ("hard", "soft"))
+    both = threshold_denoise(x, SIGMA)
     assert len(made) == 1
     for y, ref in zip(both, alone, strict=True):
         assert y.samples.tobytes() == ref.samples.tobytes()
@@ -612,14 +612,11 @@ def test_threshold_coefficients_idempotent_and_soft_shrinks():
     rng = np.random.default_rng(3)
     F = rng.standard_normal((50, 33)) + 1j * rng.standard_normal((50, 33))
     eta = 1.0
-    hard1 = threshold_coefficients(F, eta, "hard")
-    hard2 = threshold_coefficients(hard1, eta, "hard")
+    hard1, soft1 = threshold_coefficients(F, eta)
+    hard2, _ = threshold_coefficients(hard1, eta)
     assert np.array_equal(hard1, hard2)
-    soft1 = threshold_coefficients(F, eta, "soft")
-    soft2 = threshold_coefficients(soft1, eta, "soft")
+    _, soft2 = threshold_coefficients(soft1, eta)
     assert np.all(np.abs(soft2) <= np.abs(soft1) + 1e-15)
     keep = np.abs(soft1) > 0
     assert np.allclose(np.angle(soft1[keep]), np.angle(F[keep]))
-    with pytest.raises(ValueError):
-        threshold_coefficients(F, eta, "medium")
 
