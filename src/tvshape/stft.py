@@ -41,6 +41,7 @@ output does not depend on the CPU count.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import mmap
 import os
@@ -57,6 +58,7 @@ GRID_WINDOWS = 4               # nfft stops growing with N past this many window
 BLOCK_ELEMENTS = 262_144       # frame samples transformed per block of frames, all workers (5 MB of buffers)
 _RIDGE_BLOCK = 256             # ridge frames stepped at once
 _SUM_ROWS = 1024               # rows whose stored bands are gathered at once
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None  # glibc's
 
 
 class ResolutionError(ValueError):
@@ -181,7 +183,12 @@ def worker_count(n_items: int) -> int:
 def _band_store(rows: int, cols: int) -> np.ndarray:
     """An uninitialised (rows, cols) complex array in an anonymous memory
     map, whose pages go back to the OS as soon as the array is dropped:
-    glibc keeps a freed block under its 32 MB mmap threshold on the heap."""
+    glibc keeps a freed block under its 32 MB mmap threshold on the heap,
+    where a live block above it can keep it resident. Free heap pages go
+    back first (malloc_trim): without that, the band stacked on 5-28 MB of
+    a fit's freed arrays in some runs, as the pool threads' timing fell out."""
+    if _MALLOC_TRIM:
+        _MALLOC_TRIM(0)
     count = rows * cols
     buf = mmap.mmap(-1, max(1, count * np.dtype(complex).itemsize))
     if hasattr(mmap, "MADV_HUGEPAGE"):

@@ -289,6 +289,22 @@ def test_pool_has_at_most_one_thread_per_row_and_ends_with_the_call(monkeypatch)
     assert threading.active_count() == threads
 
 
+def _resident_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(stft_module._MALLOC_TRIM is None or not os.path.exists("/proc/self/statm"),
+                    reason="glibc on Linux only")
+def test_band_store_returns_the_free_heap_pages_first():
+    np.ones(2**21)          # a freed 16 MB block: glibc's mmap threshold rises past 1 MB
+    blocks = [np.ones(2**17) for _ in range(64)]    # 1 MB blocks, side by side on the heap
+    del blocks[::2]         # 32 MB of freed blocks, each held by the live ones around it
+    held = _resident_mb()
+    stft_module._band_store(1, 1)
+    assert _resident_mb() < held - 16
+
+
 @pytest.mark.parametrize("max_freq", [0.0, 45.0, 300.0, FS / 2, 5 * FS])
 def test_stored_band_is_the_leading_columns_of_the_full_band(max_freq):
     x, _ = generate(SyntheticSpec("tv_reconstruction"))
