@@ -190,7 +190,11 @@ class WaveShapeModel:
         if f is not None:
             where = "the fundamental"
             b1, phi1 = (_finite(f, key, where, list) for key in ("B1", "phi1"))
-            fs = float(_entry(f, "fs", _NUMBER, where))
+            fs = _entry(f, "fs", _NUMBER, where)
+            try:
+                fs = float(fs)
+            except OverflowError:   # json reads integers of any size, even past a double's range
+                fs = np.inf if fs > 0 else -np.inf
             if b1.shape != phi1.shape:
                 raise ValueError(f"{where}'s 'B1' and 'phi1' differ in length ({b1.size} and {phi1.size})")
             if not 0 < fs < np.inf:

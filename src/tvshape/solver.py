@@ -17,7 +17,9 @@ the harmonic terms of that trial to `residual_and_jacobian`.
 The fit stops at the first of three tests. After an accepted step, MINPACK's
 relative-reduction test (Moré 1978): the actual and the predicted relative
 RSS reductions are both at most FTOL and the actual is at most twice the
-predicted. The prediction is the linearized model's along the projected
+predicted. FTOL sits at the noise floor of the records the pipeline fits:
+a smaller one only adds a tail of accepted steps that move no output
+measure. The prediction is the linearized model's along the projected
 step, the one the fit took, not along the step the normal equations
 proposed: a coefficient held at its box edge would otherwise keep the
 prediction far above the actual reduction. A proposed step below STEP_TOL
@@ -40,7 +42,11 @@ from .signals import RealSignal
 
 LAMBDA0 = 1e-3          # initial damping
 LAMBDA_CAP = 1e16
-FTOL = 1e-6             # stop when actual and predicted relative RSS reductions are below this
+# stop when actual and predicted relative RSS reductions are below this. On a
+# noise-dominated residual of N = 2,400-9,600 samples a step that gains 1e-5
+# of the RSS gains 0.02-0.1 of one sample's noise variance, which no quality
+# measure registers
+FTOL = 1e-5
 STEP_TOL = 1e-10        # stop when the step is this small relative to the coefficients
 MAX_ITERS = 200         # LM iterations before the fit stops by `max_iters`
 E_BOUND = 0.1           # box half-width on |e_l - round(e_l)|
@@ -182,7 +188,7 @@ def fit(
     normal equations are BLAS products whose rounding depends on how the
     sums are split among threads, and the fit's path follows those bits
     (the 4 s long-record fit takes 15 iterations, stopping by `step` at
-    RSS 1542.59, with one OpenBLAS thread and 39, by `ftol` at RSS 1536.07,
+    RSS 1542.59, with one OpenBLAS thread and 35, by `ftol` at RSS 1536.09,
     with two).
     """
     opts = opts or FitOptions()

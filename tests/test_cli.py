@@ -378,6 +378,9 @@ MALFORMED_MODELS = {
     "'nodes'": lambda raw: {**raw, "harmonics": [{"e": 2.0, "c": 0.1}]},
     "not a JSON object": lambda raw: [raw],
     "'fs'": lambda raw: {**raw, "fundamental": {**raw["fundamental"], "fs": 0}},
+    # an integer past a double's range, which Python's json reads
+    "'fs' is not a positive, finite sampling rate (inf)": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "fs": 10**400}},
     "'B1'": lambda raw: {**raw, "fundamental": {**raw["fundamental"], "B1": raw["fundamental"]["B1"][:-5]}},
     # non-finite numbers, which Python's json reads as NaN and Infinity
     "'t' holds a non-finite": lambda raw: {**raw, "harmonics": [{**raw["harmonics"][0], "nodes": [

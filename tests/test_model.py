@@ -224,6 +224,11 @@ MALFORMED = {
         **raw, "fundamental": {**raw["fundamental"], "fs": float("nan")}},
     "the fundamental's 'fs' is not a positive, finite sampling rate (inf)": lambda raw: {
         **raw, "fundamental": {**raw["fundamental"], "fs": float("inf")}},
+    # integers past a double's range, which Python's json reads, are infinite
+    "the fundamental's 'fs' is not a positive, finite sampling rate (-inf)": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "fs": -(10**400)}},
+    "'fs' is not a positive, finite sampling rate (inf)": lambda raw: {
+        **raw, "fundamental": {**raw["fundamental"], "fs": 10**400}},
     "the fundamental's 'B1' and 'phi1' differ in length": lambda raw: {
         **raw, "fundamental": {**raw["fundamental"], "B1": raw["fundamental"]["B1"][:-5]}},
     # Python's json reads the literals NaN and Infinity, and integers of any size

@@ -11,8 +11,13 @@ from tvshape import (
     HarmonicModel,
     PipelineConfig,
     RealSignal,
+    SyntheticSpec,
     WaveShapeModel,
+    add_noise,
+    denoise,
     fit,
+    generate,
+    preset,
     residual_and_jacobian,
 )
 from tvshape import solver
@@ -473,6 +478,25 @@ def test_fit_pinned_at_the_box_edge_stops_by_ftol():
     assert trace.size == diag.iterations + 1        # every iteration accepted a step
     assert np.all(np.diff(trace) < 0)
     assert (trace[-2] - trace[-1]) / trace[-2] <= FTOL
+
+
+def test_ftol_cuts_the_creep_tail_of_a_noisy_fit(monkeypatch):
+    # the benchmark's s4#1 record (1 s of tv_denoise_s4 at 10 dB): at FTOL
+    # 1e-6 its fit creeps on to 46 iterations, at the default it stops at
+    # 26. Only the stopping test reads FTOL, so the default fit walks the
+    # same path and stops at an earlier iterate of it
+    x, _ = generate(SyntheticSpec("tv_denoise_s4", duration=1.0, fs=FS))
+    noisy = add_noise(x, 10.0, 742431198)
+
+    def diagnostics():
+        return denoise(noisy, preset("synthetic"), with_metrics=False).fit_diagnostics
+
+    default = diagnostics()
+    monkeypatch.setattr(solver, "FTOL", 1e-6)
+    tight = diagnostics()
+    assert default.converged_by == "ftol"
+    assert default.iterations < tight.iterations
+    assert default.rss_trace == tight.rss_trace[: len(default.rss_trace)]
 
 
 def test_ftol_diagnostics_json_roundtrip():
