@@ -51,7 +51,7 @@ from .stft import (
 )
 
 MIN_NODES = 5            # node-budget floor per harmonic
-RIDGE_HEADROOM = 1.25    # stored band over the edges' cycle rate; workload ridges reach at most 1.07
+RIDGE_HEADROOM = 1.25    # stored band's edges over and under the edges' cycle rates; workload ridges run at 0.78-1.07 of them
 
 # Config keys of fields that held one value for every caller and are now
 # constants. Configs written before still carry them, so a key is read
@@ -240,11 +240,14 @@ def _denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool) -> DenoiseR
     xe = ext.extended
 
     # the ridge walk and the fundamental's band sum read no higher than the
-    # edges' cycle rate with RIDGE_HEADROOM, plus the band half-width and a
-    # ridge jump; a read past that grows the band to the width read, or
-    # twice its width, and the harmonics' band sums come from the record
+    # faster edge's cycle rate times RIDGE_HEADROOM, plus the band half-width
+    # and a ridge jump, and no lower than the slower edge's rate over
+    # RIDGE_HEADROOM, less both; a read outside that grows the band toward
+    # it, to the width read or twice its width, and the harmonics' band
+    # sums come from the record
     max_freq = RIDGE_HEADROOM * x.fs / min(c_fwd, c_bwd) + delta + cfg.max_jump_hz
-    spec = _staged(timings, "stft", stft, xe, cfg.sigma, max_freq)
+    min_freq = x.fs / max(c_fwd, c_bwd) / RIDGE_HEADROOM - delta - cfg.max_jump_hz
+    spec = _staged(timings, "stft", stft, xe, cfg.sigma, max_freq, min_freq)
     fund, ridge = _staged(timings, "fundamental", estimate_fundamental, spec, cfg.max_jump_hz, delta)
     x_dem = _staged(timings, "demodulate", demodulate, xe, fund)
     # estimation sub-stages look at the original support only: the

@@ -12,7 +12,10 @@ the wave-shape formula is written: node amplitudes, quadrature
 coefficients and phase ratios get analytic columns, free node times
 central differences on the four intervals a node moves. The next jacobian
 is taken at the accepted trial, the last one synthesized, so `fit` hands
-the harmonic terms of that trial to `residual_and_jacobian`.
+the harmonic terms of that trial to `residual_and_jacobian`. The fit holds
+one N x p jacobian at a time: an iteration's J is dropped before the next
+is built, and the free heap pages go back to the OS (malloc_trim) when
+the fit returns.
 
 The fit stops at the first of three tests. After an accepted step, MINPACK's
 relative-reduction test (Moré 1978): the actual and the predicted relative
@@ -39,6 +42,7 @@ from .model import HarmonicTerms, WaveShapeModel, harmonic_terms, synthesize
 # --trace 1) wraps these names of this module, so they must stay resolvable
 from .pchip import pchip_eval, pchip_eval_with_amp_jacobian  # noqa: F401
 from .signals import RealSignal
+from .stft import _MALLOC_TRIM
 
 LAMBDA0 = 1e-3          # initial damping
 LAMBDA_CAP = 1e16
@@ -261,11 +265,14 @@ def fit(
             if lam > LAMBDA_CAP:
                 diag = FitDiagnostics(iterations, trace, "max_iters", rss)
                 raise FitError("normal system stayed singular at maximum damping", diag)
+        del J, Jf       # one jacobian at a time: the next is built in this one's place
         if not accepted:
             break
         if actual <= FTOL and predicted <= FTOL and actual <= 2.0 * predicted:
             converged_by = "ftol"
             break
 
+    if _MALLOC_TRIM:
+        _MALLOC_TRIM(0)     # the iterations' freed arrays leave the heap, not held until the next STFT
     diag = FitDiagnostics(iterations, trace, converged_by, rss)
     return ctx.template.unflatten(gamma), diag

@@ -17,18 +17,19 @@ thread pool (numpy's FFT and ufunc loops release the GIL), a one-thread
 pool on one CPU. Each span is walked a block of frames at a time, and
 each block is transformed over every bin into its worker's buffers; |F|
 of the block gives its first maximum, and the blocks' maxima combine
-into the ridge's anchor, the first global |F| maximum. Only the bins up
-to the caller's max_freq are then copied out and stored, in an anonymous
-memory map whose pages go back to the OS when the spectrogram is
-dropped. The spectrogram keeps the record and window it was computed
-from, and derives its frequency grid and window coverage. A band sum
-that reaches past the stored bins is computed from the record
-(`vertical_reconstruct`): the record correlated with the window times
-the band's closed-form Dirichlet kernel. Only a read through
-`Spectrogram.bins` (the ridge walk, and the fundamental's band)
-recomputes: a read past the stored band transforms, by the same pass,
-the wider of the width read and twice the stored width, never more than
-every bin, and that band serves every later read within it.
+into the ridge's anchor, the first global |F| maximum. Only the bins
+between the caller's min_freq and max_freq are then copied out and
+stored, in an anonymous memory map whose pages go back to the OS when
+the spectrogram is dropped. The spectrogram keeps the record and window
+it was computed from, the band's first bin, and derives its frequency
+grid and window coverage. A band sum that reaches outside the stored
+bins is computed from the record (`vertical_reconstruct`): the record
+correlated with the window times the band's closed-form Dirichlet
+kernel. Only a read through `Spectrogram.bins` (the ridge walk, and the
+fundamental's band) recomputes: a read above or below the stored band transforms, by the
+same pass, a band that spans the stored band and the read, at least
+twice the stored width, grown toward the read and never past bin 0 or
+the last bin, and that band serves every later read within it.
 
 The calling thread allocates every block buffer before the threads start,
 one set per worker, with BLOCK_ELEMENTS shared among them: a buffer a
@@ -72,36 +73,46 @@ class ResolutionError(ValueError):
 class Spectrogram:
     """Complex STFT matrix indexed [time sample][frequency bin], hop 1.
 
-    values may hold only the low bins 0..K-1 of the nfft/2+1 on freq_axis;
-    read bins through `bins`, which recomputes the rest from record and
-    window when asked for them (a spectrogram built without a record
-    cannot). anchor is the (frame, bin) of the first |F| maximum over all
-    bins in time-major order, None when every entry is zero; `stft` finds
-    it in its FFT pass. freq_axis and window_coverage are derived.
+    values may hold only a band of the nfft/2+1 bins on freq_axis, bins
+    first..first+K-1, bracketed below and above by `stft`'s min_freq and
+    max_freq; read bins through `bins`, which recomputes a wider band from
+    record and window when a read falls outside it (a spectrogram built
+    without a record cannot), and index what it returns from `first`.
+    anchor is the (frame, bin) of the first |F| maximum over all bins in
+    time-major order, None when every entry is zero; `stft` finds it in
+    its FFT pass. freq_axis and window_coverage are derived.
     """
 
-    values: np.ndarray            # (N, K) complex, bins 0..K-1
+    values: np.ndarray            # (N, K) complex, bins first..first+K-1
     fs: float
     nfft: int
     window: np.ndarray = field(repr=False)   # g, 2 * half + 1 taps, g(0) = 1 in the middle
     anchor: tuple[int, int] | None
     record: np.ndarray | None = field(default=None, repr=False)   # samples the values came from
+    first: int = 0                # the band's first bin
 
-    def bins(self, stop: int) -> np.ndarray:
-        """Values holding at least bins 0..stop-1: the stored band when it
-        reaches that far, else a wider band recomputed from the record,
-        which replaces the stored one for every later read. The wider band
-        holds max(stop, 2 * stored) bins, at most all of them, so a walk
-        that climbs bin by bin recomputes about log2(nfft / stored) times,
-        not once per bin. The band sums of `vertical_reconstruct` read past
-        the band without it."""
-        stored = self.values.shape[1]
-        if stop > stored:
+    def bins(self, start: int, stop: int) -> np.ndarray:
+        """Values holding at least bins start..stop-1, column j holding bin
+        `first` + j (read `first` after the call): the stored band when it
+        covers them, else a wider band recomputed from the record, which
+        replaces the stored one for every later read. The wider band spans
+        the stored band and the read, and holds at least twice the stored
+        bins, grown toward the read and never past bin 0 or the last bin,
+        so a walk that leaves the band bin by bin recomputes about
+        log2(nfft / stored) times, not once per bin. The band sums of
+        `vertical_reconstruct` read outside the band without it."""
+        stored, n_freq = self.values.shape[1], self.freq_axis.size
+        lo, hi = min(start, self.first), max(stop, self.first + stored)
+        if hi - lo > stored:
             if self.record is None:
-                raise ValueError(f"bin {stop - 1} lies past the {stored} stored bins")
-            keep = min(self.freq_axis.size, max(stop, 2 * stored))
+                raise ValueError(
+                    f"bins {start}..{stop - 1} reach past the {stored} stored bins from bin {self.first}"
+                )
+            width = min(n_freq, max(hi - lo, 2 * stored))
+            lo = max(0, hi - width) if start < self.first else min(lo, n_freq - width)
             self.values = None      # the old band's pages go back before the wider one is made
-            self.values = _transform(self.record, self.window, self.nfft, keep)[0]
+            self.values = _transform(self.record, self.window, self.nfft, lo, lo + width)[0]
+            self.first = lo
         return self.values
 
     @functools.cached_property
@@ -197,8 +208,8 @@ def _band_store(rows: int, cols: int) -> np.ndarray:
 
 
 def _transform(samples: np.ndarray, g: np.ndarray, nfft: int,
-               keep: int) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Bins 0..keep-1 of every frame's windowed FFT, and the (frame, bin) of
+               lo: int, hi: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Bins lo..hi-1 of every frame's windowed FFT, and the (frame, bin) of
     the first |F| maximum over all bins in time-major order (None if all
     are zero).
 
@@ -212,7 +223,7 @@ def _transform(samples: np.ndarray, g: np.ndarray, nfft: int,
     n_rows, n_bins, half = samples.size, nfft // 2 + 1, g.size // 2
     padded = np.concatenate([np.zeros(half), samples, np.zeros(half)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-    values = _band_store(n_rows, keep)
+    values = _band_store(n_rows, hi - lo)
     workers = worker_count(n_rows)
     bounds = [n_rows * w // workers for w in range(workers + 1)]
     chunk = max(1, min(-(-n_rows // workers), BLOCK_ELEMENTS // (workers * nfft)))
@@ -230,7 +241,7 @@ def _transform(samples: np.ndarray, g: np.ndarray, nfft: int,
             np.multiply(frames[start:stop, half:], g[half:], out=b[:, : half + 1])
             np.multiply(frames[start:stop, :half], g[:half], out=b[:, nfft - half :])
             np.fft.rfft(b, axis=1, out=spectrum)
-            values[start:stop] = spectrum[:, :keep]
+            values[start:stop] = spectrum[:, lo:hi]
             np.abs(spectrum, out=mag)
             k = int(np.argmax(mag))
             if mag.flat[k] > best[0]:
@@ -243,14 +254,16 @@ def _transform(samples: np.ndarray, g: np.ndarray, nfft: int,
     return values, (divmod(flat, n_bins) if best > 0 else None)
 
 
-def stft(x: RealSignal, sigma: float, max_freq: float | None = None) -> Spectrogram:
+def stft(x: RealSignal, sigma: float, max_freq: float | None = None,
+         min_freq: float | None = None) -> Spectrogram:
     """Per-sample-hop Gaussian-window STFT with one-sided frequency axis.
 
     The FFT length is `fft_length(N, 2*half + 1)`: it follows the record up
     to GRID_WINDOWS truncated windows and is fixed by the window beyond, so
-    memory and FFT time are linear in N. Only the bins at or below max_freq
-    Hz (at least DC) are stored; None stores every bin. The anchor is
-    found over every bin either way.
+    memory and FFT time are linear in N. Only the bins from min_freq to
+    max_freq Hz (at least the first bin at or above min_freq) are stored;
+    None leaves that side open, and a min_freq at or below 0 keeps DC. The
+    anchor is found over every bin either way.
     """
     g, half = gaussian_window(sigma)
     if 2 * half + 1 < 8:
@@ -259,11 +272,14 @@ def stft(x: RealSignal, sigma: float, max_freq: float | None = None) -> Spectrog
         )
     if max_freq is not None and not max_freq >= 0:
         raise ValueError(f"max_freq must be non-negative, got {max_freq}")
+    if min_freq is not None and not min_freq <= (np.inf if max_freq is None else max_freq):
+        raise ValueError(f"min_freq must not exceed max_freq, got {min_freq} and {max_freq}")
     nfft = fft_length(len(x), 2 * half + 1)
     freq_axis = _frequency_grid(x.fs, nfft)
-    keep = freq_axis.size if max_freq is None else max(1, int(np.searchsorted(freq_axis, max_freq, side="right")))
-    values, anchor = _transform(x.samples, g, nfft, keep)
-    return Spectrogram(values, x.fs, nfft, g, anchor, x.samples)
+    first = 0 if min_freq is None else min(int(np.searchsorted(freq_axis, min_freq)), freq_axis.size - 1)
+    stop = freq_axis.size if max_freq is None else int(np.searchsorted(freq_axis, max_freq, side="right"))
+    values, anchor = _transform(x.samples, g, nfft, first, max(first + 1, stop))
+    return Spectrogram(values, x.fs, nfft, g, anchor, x.samples, first)
 
 
 def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
@@ -310,7 +326,8 @@ def _walk(spec: Spectrogram, start: int, frames: np.ndarray, jump: int) -> np.nd
     exact predecessor. A sweep reads each frame's corridor at the fixed
     width min(2 * jump + 1, n_freq) and sets the entries outside the
     clipped corridor below zero, so argmax finds the per-frame first
-    maximum. Each sweep reads its corridors through `Spectrogram.bins`.
+    maximum. Each sweep reads its corridors through `Spectrogram.bins`,
+    from the lowest corridor's first bin to the highest's last.
     """
     n_freq = spec.freq_axis.size
     width = min(2 * jump + 1, n_freq)
@@ -326,10 +343,10 @@ def _walk(spec: Spectrogram, start: int, frames: np.ndarray, jump: int) -> np.nd
             a = np.maximum(pred - jump, 0)
             b = np.minimum(pred + jump + 1, n_freq)
             lo = np.minimum(a, n_freq - width)          # [a, b) lies in [lo, lo + width)
-            # one expression, so no name holds the band when a read past it
-            # makes `bins` replace it
+            # one expression, so no name holds the band when a read outside it
+            # makes `bins` replace it; spec.first is read after `bins` moved it
             mag = np.abs(np.lib.stride_tricks.sliding_window_view(
-                spec.bins(int(lo.max()) + width), width, axis=1)[rows[fixed:], lo])
+                spec.bins(int(lo.min()), int(lo.max()) + width), width, axis=1)[rows[fixed:], lo - spec.first])
             mag[(offsets < (a - lo)[:, None]) | (offsets >= (b - lo)[:, None])] = -1.0
             step = lo + np.argmax(mag, axis=1)
             moved = np.flatnonzero(step != guess[fixed:])
@@ -347,7 +364,7 @@ def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.nd
     component, the result approximates its analytic signal (magnitude =
     instantaneous amplitude, phase = 2*pi*phase). The per-frame in-record
     window mass is divided out, undoing the amplitude shrinkage of frames
-    whose window overhangs the record edges. Bands that reach past the
+    whose window overhangs the record edges. Bands that reach outside the
     stored bins are summed from the record, and the stored band is kept.
     """
     if delta <= 0:
@@ -363,19 +380,21 @@ def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.nd
     hi = np.searchsorted(spec.freq_axis, ridge.freq + delta, side="right")
     lo = np.clip(lo, 0, n_freq)
     hi = np.clip(hi, lo, n_freq)
-    top = int(hi.max(initial=0))
-    if top > spec.values.shape[1] and spec.record is not None:
+    bottom, top = int(lo.min(initial=n_freq)), int(hi.max(initial=0))
+    if (bottom < spec.first or top > spec.first + spec.values.shape[1]) and spec.record is not None:
         out = _record_band_sums(spec, lo, hi)
     else:
-        out = _stored_band_sums(spec.bins(top), lo, hi, n_freq)
+        out = _stored_band_sums(spec.bins(bottom, top), spec.first, lo, hi, n_freq)
     out /= spec.nfft
     out /= spec.window_coverage
     return out
 
 
-def _stored_band_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_freq: int) -> np.ndarray:
-    """Each row's weighted sum of values over bins [lo, hi), of n_freq:
-    weight 2 everywhere except DC and Nyquist.
+def _stored_band_sums(values: np.ndarray, first: int, lo: np.ndarray, hi: np.ndarray,
+                      n_freq: int) -> np.ndarray:
+    """Each row's weighted sum over bins [lo, hi), of n_freq, of values, a
+    band whose column j holds bin first + j and which covers every [lo,
+    hi): weight 2 everywhere except DC and Nyquist.
 
     The rows whose band holds w bins are summed together, _SUM_ROWS at a
     time: indexing a width-w sliding view by (row, lo) copies out only
@@ -389,7 +408,8 @@ def _stored_band_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_freq
         bands = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
         for b0 in range(0, rows.size, _SUM_ROWS):
             block = rows[b0 : b0 + _SUM_ROWS]
-            out[block] = 2.0 * bands[block, lo[block]].sum(axis=1)
+            out[block] = 2.0 * bands[block, lo[block] - first].sum(axis=1)
+    # a row reaches DC only in a band from bin 0, and Nyquist only in one to the last bin
     dc, nyquist = lo == 0, hi == n_freq
     out[dc] -= values[dc, 0]
     out[nyquist] -= values[nyquist, -1]
@@ -454,7 +474,7 @@ def _resynthesis(values: np.ndarray, nfft: int) -> np.ndarray:
 
 def full_band_resynthesis(spec: Spectrogram) -> np.ndarray:
     """Real signal recovered from all bins (exact inverse of stft)."""
-    return _resynthesis(spec.bins(spec.freq_axis.size), spec.nfft)
+    return _resynthesis(spec.bins(0, spec.freq_axis.size), spec.nfft)
 
 
 @dataclass
@@ -487,7 +507,8 @@ def estimate_fundamental(
     ridge = extract_ridge(spec, max_jump_hz)
     # the band is summed from stored bins, grown if it falls short: a sum
     # from the record differs in its last bits, and the fit follows them
-    spec.bins(int(np.searchsorted(spec.freq_axis, ridge.freq.max() + delta, side="right")))
+    spec.bins(int(np.searchsorted(spec.freq_axis, ridge.freq.min() - delta)),
+              int(np.searchsorted(spec.freq_axis, ridge.freq.max() + delta, side="right")))
     y = vertical_reconstruct(spec, ridge, delta)
     b1 = np.abs(y)
     scale = max(float(b1.max()), 0.0)
@@ -514,7 +535,7 @@ def noise_sigma_estimate(spec: Spectrogram) -> float:
     a generic bin carries half the coefficient variance); the matching
     sqrt(2) reappears in the denoising threshold.
     """
-    med = float(np.median(np.abs(spec.bins(spec.freq_axis.size).real)))
+    med = float(np.median(np.abs(spec.bins(0, spec.freq_axis.size).real)))
     return med / (0.6745 * float(np.linalg.norm(spec.window)))
 
 

@@ -142,21 +142,24 @@ def test_decompose_of_the_ip_record_grows_no_band_past_its_reads(monkeypatch):
 
     def recording_stft(*args):
         spec = real_stft(*args)
-        made.append((spec, spec.values.shape[1]))
+        made.append((spec, spec.first, spec.values.shape[1]))
         return spec
 
-    def recording_bins(self, stop):
-        reads[id(self)] = max(reads.get(id(self), 0), stop)
-        return real_bins(self, stop)
+    def recording_bins(self, start, stop):
+        low, high = reads.get(id(self), (start, stop))
+        reads[id(self)] = (min(low, start), max(high, stop))
+        return real_bins(self, start, stop)
 
     monkeypatch.setattr(pipeline_module, "stft", recording_stft)
     monkeypatch.setattr(Spectrogram, "bins", recording_bins)
     decompose(_ip_record(), [preset("ip", r_max=3)], K=2)
     assert len(made) == 2
-    for spec, stored in made:
-        assert spec.values.shape[1] <= max(reads[id(spec)], 2 * stored)
+    for spec, first, stored in made:
+        low, high = reads[id(spec)]
+        span = max(high, first + stored) - min(low, first)
+        assert spec.values.shape[1] <= max(span, 2 * stored)
         assert spec.values.shape[1] < 0.25 * spec.freq_axis.size
-    spec, stored = made[1]
+    spec, first, stored = made[1]
     assert spec.values.shape[1] > stored
 
 

@@ -377,16 +377,16 @@ def test_workload_record_stores_a_low_band_of_its_spectrogram(monkeypatch, name)
 
     def recording_stft(*args):
         spec = real_stft(*args)
-        made.append((spec, spec.values.shape[1]))
+        made.append((spec, spec.first, spec.values.shape[1]))
         return spec
 
     def recording_cycle(*args):
         cycles.append(real_cycle(*args))
         return cycles[-1]
 
-    def recording_bins(self, stop):
-        reads.append((stop, self.values.shape[1]))
-        return real_bins(self, stop)
+    def recording_bins(self, start, stop):
+        reads.append((start, stop, self.first, self.first + self.values.shape[1]))
+        return real_bins(self, start, stop)
 
     monkeypatch.setattr(pipeline_module, "stft", recording_stft)
     monkeypatch.setattr(pipeline_module, "fractional_cycle_len", recording_cycle)
@@ -399,14 +399,18 @@ def test_workload_record_stores_a_low_band_of_its_spectrogram(monkeypatch, name)
         denoise(rec.signal, rec.cfg)
     assert len(made) == rec.K and len(cycles) == 2 * rec.K      # one spectrogram per stage
     delta = rec.cfg.resolved_delta(rec.signal.fs)
-    for (spec, stored), edge_cycles in zip(made, np.reshape(cycles, (rec.K, 2)), strict=True):
-        # the shorter edge cycle's rate with the headroom, plus the band half-width and a ridge jump
+    for (spec, first, stored), edge_cycles in zip(made, np.reshape(cycles, (rec.K, 2)), strict=True):
+        # from the longer edge cycle's rate under the headroom, less the band
+        # half-width and a ridge jump, to the shorter one's with the headroom,
+        # plus both
+        bottom = spec.fs / edge_cycles.max() / RIDGE_HEADROOM - delta - rec.cfg.max_jump_hz
         top = RIDGE_HEADROOM * spec.fs / edge_cycles.min() + delta + rec.cfg.max_jump_hz
-        assert stored <= np.count_nonzero(spec.freq_axis <= top) < 0.25 * spec.freq_axis.size
+        assert first == np.count_nonzero(spec.freq_axis < bottom)
+        assert first + stored == np.count_nonzero(spec.freq_axis <= top) < 0.25 * spec.freq_axis.size
         # the harmonics' band sums came from the record: nothing was recomputed
-        assert spec.values.shape[1] == stored
+        assert (spec.first, spec.values.shape[1]) == (first, stored)
     # every read of the ridge walk and the fundamental fell in the stored band
-    assert reads and all(stop <= stored for stop, stored in reads)
+    assert reads and all(first <= start and stop <= end for start, stop, first, end in reads)
 
 
 def test_pipeline_deterministic(cfg):

@@ -1,4 +1,6 @@
+import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from tvshape.solver import FTOL, FitContext, FitDiagnostics
 from oracles import fd_jacobian, pchip_slopes
 
 FS = 2000.0
+pipeline_module = importlib.import_module("tvshape.pipeline")
+stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
 
 def _phi(n, f0=40.0, fm=0.0):
@@ -497,6 +501,36 @@ def test_ftol_cuts_the_creep_tail_of_a_noisy_fit(monkeypatch):
     assert default.converged_by == "ftol"
     assert default.iterations < tight.iterations
     assert default.rss_trace == tight.rss_trace[: len(default.rss_trace)]
+
+
+def test_fit_holds_one_jacobian_at_a_time(monkeypatch):
+    # 4 s of tv_denoise_s1 at 10 dB, like the benchmark's long record: its
+    # 9600 x 120 jacobian takes 9.2 MB, and a fit that kept the last
+    # iteration's while the next was built peaked at 2.7 times that
+    x, _ = generate(SyntheticSpec("tv_denoise_s1", duration=4.0, fs=FS))
+    calls = []
+    real_fit = pipeline_module.fit
+    monkeypatch.setattr(pipeline_module, "fit", lambda *args: calls.append(args) or real_fit(*args))
+    denoise(add_noise(x, 10.0, 0), preset("synthetic"), with_metrics=False)
+    x_demod, phi1, init, opts = calls[0]
+    jacobian_bytes = len(x_demod) * init.flatten().size * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        _, diag = fit(x_demod, phi1, init, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.iterations > 1
+    assert peak < 2 * jacobian_bytes
+
+
+def test_fit_returns_the_free_heap_pages_once(monkeypatch):
+    # the handle stft's band store trims with
+    assert solver._MALLOC_TRIM is stft_module._MALLOC_TRIM
+    calls = []
+    monkeypatch.setattr(solver, "_MALLOC_TRIM", calls.append)
+    _, diag = _pinned_phase_ratio_fit()
+    assert diag.iterations > 1 and calls == [0]
 
 
 def test_ftol_diagnostics_json_roundtrip():

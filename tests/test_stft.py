@@ -319,10 +319,31 @@ def test_stored_band_is_the_leading_columns_of_the_full_band(max_freq):
     assert band.anchor == full.anchor
 
 
+@pytest.mark.parametrize("min_freq, max_freq", [(45.0, 300.0), (-5.0, 45.0), (0.0, 0.0), (300.0, 300.0),
+                                                (44.9, 45.0), (FS / 2, 5 * FS), (5 * FS, 5 * FS)])
+def test_stored_band_between_two_edges_is_those_columns_of_the_full_band(min_freq, max_freq):
+    noisy = add_noise(generate(SyntheticSpec("tv_reconstruction"))[0], 0.0, 1)
+    full = stft(noisy, SIGMA)
+    band = stft(noisy, SIGMA, max_freq, min_freq)
+    # the bins from min_freq to max_freq, at least the first bin at or above
+    # min_freq (the last of all past Nyquist)
+    first = min(np.count_nonzero(full.freq_axis < min_freq), full.freq_axis.size - 1)
+    stop = max(first + 1, np.count_nonzero(full.freq_axis <= max_freq))
+    assert band.first == first
+    assert band.values.tobytes() == full.values[:, first:stop].tobytes()
+    assert band.anchor == full.anchor
+
+
 @pytest.mark.parametrize("max_freq", [-1.0, np.nan])
 def test_negative_or_nan_max_freq_rejected(max_freq):
     with pytest.raises(ValueError, match="max_freq"):
         stft(_tone(), SIGMA, max_freq)
+
+
+@pytest.mark.parametrize("min_freq, max_freq", [(50.0, 45.0), (np.nan, 45.0), (np.nan, None)])
+def test_min_freq_above_max_freq_or_nan_rejected(min_freq, max_freq):
+    with pytest.raises(ValueError, match="min_freq"):
+        stft(_tone(), SIGMA, max_freq, min_freq)
 
 
 @pytest.mark.filterwarnings("ignore:reconstruction band clipped")
@@ -377,6 +398,35 @@ def test_reads_past_the_stored_band_equal_the_full_band():
     hand = Spectrogram(full.values[:, :5], FS, full.nfft, np.ones(1), _first_max(full.values[:, :5]))
     with pytest.raises(ValueError, match="past the 5 stored bins"):
         vertical_reconstruct(hand, ridge, delta)
+
+    # a 120 -> 80 Hz chirp, loudest at its start: the ridge anchors inside a
+    # 100-150 Hz band and leaves it through its bottom
+    x = RealSignal(np.exp(-t) * np.cos(2 * np.pi * (120 * t - 10 * t**2)), FS)
+    full = stft(x, SIGMA)
+    ridge = extract_ridge(full, 2.0)
+    band = stft(x, SIGMA, 150.0, 100.0)
+    first, stop = band.first, band.first + band.values.shape[1]
+    assert full.freq_axis[first - 1] < 100.0 <= full.freq_axis[first]
+    assert ridge.freq.min() < 100.0 <= full.freq_axis[band.anchor[1]] <= 150.0
+    assert extract_ridge(band, 2.0).freq.tobytes() == ridge.freq.tobytes()
+    # the band grew downward past the walk's reads, which end a ridge jump
+    # below its bottom bin, by doubling at most: not to DC, and its top stayed
+    read = int(np.searchsorted(full.freq_axis, ridge.freq.min())) - int(2.0 / full.bin_width)
+    grown = band.values.shape[1]
+    assert 0 < band.first <= read < first
+    assert band.first + grown == stop and grown <= max(stop - read, 2 * (stop - first))
+    assert band.values.tobytes() == full.values[:, band.first : stop].tobytes()
+    # the fundamental's band reaches lower still: a band whose bottom the
+    # walk stays above grows for it alone, and its sums equal the full
+    # band's bit for bit
+    band = stft(x, SIGMA, 150.0, ridge.freq.min() - 3.0)
+    first = band.first
+    fund, _ = estimate_fundamental(band, 2.0, delta)
+    reference, _ = estimate_fundamental(full, 2.0, delta)
+    assert band.first <= np.searchsorted(full.freq_axis, ridge.freq.min() - delta) < first <= read
+    assert fund.B1.tobytes() == reference.B1.tobytes()
+    assert fund.phi1.tobytes() == reference.phi1.tobytes()
+    assert band.values.tobytes() == full.values[:, band.first : band.first + band.values.shape[1]].tobytes()
 
 
 def _uncapped_fft_length(n, window_length):
@@ -542,7 +592,12 @@ def test_row_blocked_band_sums_equal_the_one_shot_gather():
     lo = rng.integers(0, n_freq + 1, n_rows)
     cases.append((lo, rng.integers(lo, n_freq + 1)))
     for lo, hi in cases:
-        got = stft_module._stored_band_sums(spec.values, lo, hi, n_freq)
+        got = stft_module._stored_band_sums(spec.values, 0, lo, hi, n_freq)
+        assert got.tobytes() == gathered_band_sums(spec.values, lo, hi, n_freq).tobytes()
+        # the same rows read from a band that starts at bin 3: none reaches DC
+        lo = np.maximum(lo, 3)
+        hi = np.maximum(hi, lo)
+        got = stft_module._stored_band_sums(spec.values[:, 3:], 3, lo, hi, n_freq)
         assert got.tobytes() == gathered_band_sums(spec.values, lo, hi, n_freq).tobytes()
 
 
