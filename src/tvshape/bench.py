@@ -87,7 +87,7 @@ def _denoise_cell(args):
     noisy = add_noise(x, snr_db, seed)
     out = {}
     try:
-        res = denoise(noisy, cfg, with_metrics=False)
+        res = denoise(noisy, cfg)
         out["ours"] = snr_out(x, res.reconstruction)
         out["lr"] = snr_out(x, res.lr_reconstruction)
     except Exception as exc:  # recorded per cell, the sweep continues

@@ -62,27 +62,28 @@ def _build_config(args) -> PipelineConfig:
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
-def cmd_denoise(args) -> int:
+def _run_record(args, driver):
+    """Read the input, build the config, run driver(x, cfg), then make the
+    output directory: a bad flag or a failed run writes nothing."""
     x = read_signal_csv(args.input, fs=args.fs)
     cfg = _build_config(args)
-    res = denoise(x, cfg)
+    res = driver(x, cfg)
     out = Path(args.out or _default_out_dir())
     out.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.input).stem
+    return x, cfg, res, out, Path(args.input).stem
+
+
+def cmd_denoise(args) -> int:
+    _, cfg, res, out, stem = _run_record(args, denoise)
     write_signal_csv(out / f"{stem}_denoised.csv", res.reconstruction)
     (out / f"{stem}_model.json").write_text(res.model.to_json(), encoding="utf-8")
-    (out / f"{stem}_report.json").write_text(res.report_json(x, cfg), encoding="utf-8")
+    (out / f"{stem}_report.json").write_text(res.report_json(cfg), encoding="utf-8")
     print(f"wrote {out / f'{stem}_denoised.csv'}")
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    x = read_signal_csv(args.input, fs=args.fs)
-    cfg = _build_config(args)
-    results = decompose(x, [cfg], K=args.k)
-    out = Path(args.out or _default_out_dir())
-    out.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.input).stem
+    x, _, results, out, stem = _run_record(args, lambda x, cfg: decompose(x, [cfg], K=args.k))
     residual = x.samples.copy()
     for i, res in enumerate(results, start=1):
         write_signal_csv(out / f"{stem}_component{i}.csv", res.reconstruction)
@@ -94,12 +95,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    x = read_signal_csv(args.input, fs=args.fs)
-    cfg = _build_config(args)
-    res = segment(x, cfg, penalty=args.penalty)
-    out = Path(args.out or _default_out_dir())
-    out.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.input).stem
+    x, _, res, out, stem = _run_record(args, lambda x, cfg: segment(x, cfg, penalty=args.penalty))
     (out / f"{stem}_segmentation.json").write_text(res.to_json(), encoding="utf-8")
     t = x.times().tolist()
     for ell, trace in res.haf_traces.items():

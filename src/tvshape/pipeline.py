@@ -10,6 +10,7 @@ back to the original support.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -158,21 +159,27 @@ class PipelineStageError(RuntimeError):
 class DenoiseResult:
     reconstruction: RealSignal
     model: WaveShapeModel
-    metrics: MetricsReport | None
     lr_reconstruction: RealSignal       # warm-start (fixed-shape) baseline
     fit_diagnostics: FitDiagnostics
     extension: ExtensionResult
     ridge: Ridge
     timings: dict[str, float]
 
-    def report_json(self, x: RealSignal, cfg: PipelineConfig) -> str:
+    @functools.cached_property
+    def metrics(self) -> MetricsReport:
+        """Residual diagnostics of input − reconstruction, computed on first read."""
+        x = trim(self.extension.extended, self.extension)    # the extension's core is the input bit for bit
+        return residual_metrics(x.with_samples(x.samples - self.reconstruction.samples), self.reconstruction)
+
+    def report_json(self, cfg: PipelineConfig) -> str:
+        x = trim(self.extension.extended, self.extension)
         digest = hashlib.sha256(x.samples.tobytes()).hexdigest()[:16]
         return json.dumps(
             {
                 "input": {"sha256_16": digest, "n": len(x), "fs": x.fs},
                 "config": cfg.to_dict(),
                 "model": self.model.to_dict(),
-                "metrics": None if self.metrics is None else asdict(self.metrics),
+                "metrics": asdict(self.metrics),
                 "fit": asdict(self.fit_diagnostics),
                 "timings": self.timings,
             },
@@ -190,7 +197,7 @@ def _staged(timings, stage, fn, *args, **kwargs):
     return out
 
 
-def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> DenoiseResult:
+def denoise(x: RealSignal, cfg: PipelineConfig) -> DenoiseResult:
     """Fit the time-varying wave-shape model and resynthesize the record.
 
     The chain runs on the record started at t0 = 0, so the fit does not
@@ -198,7 +205,7 @@ def denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool = True) -> De
     swamp the node times' step tolerance and knot differences); every time
     in the result is then moved to the record's own axis.
     """
-    return _moved(_denoise(RealSignal(x.samples, x.fs), cfg, with_metrics), x.t0)
+    return _moved(_denoise(RealSignal(x.samples, x.fs), cfg), x.t0)
 
 
 def _moved(res: DenoiseResult, t0: float) -> DenoiseResult:
@@ -222,7 +229,7 @@ def _moved_model(model: WaveShapeModel, t0: float) -> WaveShapeModel:
     return model
 
 
-def _denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool) -> DenoiseResult:
+def _denoise(x: RealSignal, cfg: PipelineConfig) -> DenoiseResult:
     timings: dict[str, float] = {}
     delta = cfg.resolved_delta(x.fs)
 
@@ -283,15 +290,9 @@ def _denoise(x: RealSignal, cfg: PipelineConfig, with_metrics: bool) -> DenoiseR
     model, diag = _staged(timings, "fit", fit, x_dem, fund.phi1, init, FitOptions())
     recon_ext = _staged(timings, "synthesize", evaluate_model, model, fund.phi1, xe.t0)
     recon = trim(remodulate(recon_ext, fund), ext)
-
-    metrics = None
-    if with_metrics:
-        residual = x.with_samples(x.samples - recon.samples)
-        metrics = _staged(timings, "metrics", residual_metrics, residual, recon)
     return DenoiseResult(
         reconstruction=recon,
         model=model,
-        metrics=metrics,
         lr_reconstruction=lr_recon,
         fit_diagnostics=diag,
         extension=ext,
@@ -318,7 +319,7 @@ def decompose(x: RealSignal, cfgs: list[PipelineConfig], K: int) -> list[Denoise
     residual = x
     prev_tracks: list[tuple[np.ndarray, float]] = []
     for k in range(K):
-        res = denoise(residual, cfgs[k], with_metrics=False)
+        res = denoise(residual, cfgs[k])
         core_track = res.ridge.freq[res.extension.core]
         for track, band in prev_tracks:
             if np.mean(np.abs(core_track - track) < band) > 0.5:
@@ -364,7 +365,7 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
     check_penalty(penalty)      # a bad penalty fails at once, not after the fit
     # fitted and scanned at t0 = 0, as denoise fits; change times on x's axis
     x0 = RealSignal(x.samples, x.fs)
-    model = denoise(x0, cfg, with_metrics=False).model
+    model = denoise(x0, cfg).model
     t = x0.times()
     traces: dict[int, np.ndarray] = {}
     firsts: list[tuple[int, float]] = []

@@ -76,8 +76,9 @@ class Spectrogram:
     values may hold only a band of the nfft/2+1 bins on freq_axis, bins
     first..first+K-1, bracketed below and above by `stft`'s min_freq and
     max_freq; read bins through `bins`, which recomputes a wider band from
-    record and window when a read falls outside it (a spectrogram built
-    without a record cannot), and index what it returns from `first`.
+    record and window when a read falls outside it, and index what it
+    returns from `first`. The record is always held, so any bin can be
+    recomputed or summed from it.
     anchor is the (frame, bin) of the first |F| maximum over all bins in
     time-major order, None when every entry is zero; `stft` finds it in
     its FFT pass. freq_axis and window_coverage are derived.
@@ -88,7 +89,7 @@ class Spectrogram:
     nfft: int
     window: np.ndarray = field(repr=False)   # g, 2 * half + 1 taps, g(0) = 1 in the middle
     anchor: tuple[int, int] | None
-    record: np.ndarray | None = field(default=None, repr=False)   # samples the values came from
+    record: np.ndarray = field(repr=False)   # samples the values came from
     first: int = 0                # the band's first bin
 
     def bins(self, start: int, stop: int) -> np.ndarray:
@@ -104,10 +105,6 @@ class Spectrogram:
         stored, n_freq = self.values.shape[1], self.freq_axis.size
         lo, hi = min(start, self.first), max(stop, self.first + stored)
         if hi - lo > stored:
-            if self.record is None:
-                raise ValueError(
-                    f"bins {start}..{stop - 1} reach past the {stored} stored bins from bin {self.first}"
-                )
             width = min(n_freq, max(hi - lo, 2 * stored))
             lo = max(0, hi - width) if start < self.first else min(lo, n_freq - width)
             self.values = None      # the old band's pages go back before the wider one is made
@@ -381,10 +378,10 @@ def vertical_reconstruct(spec: Spectrogram, ridge: Ridge, delta: float) -> np.nd
     lo = np.clip(lo, 0, n_freq)
     hi = np.clip(hi, lo, n_freq)
     bottom, top = int(lo.min(initial=n_freq)), int(hi.max(initial=0))
-    if (bottom < spec.first or top > spec.first + spec.values.shape[1]) and spec.record is not None:
+    if bottom < spec.first or top > spec.first + spec.values.shape[1]:
         out = _record_band_sums(spec, lo, hi)
     else:
-        out = _stored_band_sums(spec.bins(bottom, top), spec.first, lo, hi, n_freq)
+        out = _stored_band_sums(spec.values, spec.first, lo, hi, n_freq)
     out /= spec.nfft
     out /= spec.window_coverage
     return out

@@ -1,6 +1,8 @@
+import hashlib
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,15 +206,15 @@ def test_model_recovers_phase_ratios(noiseless_result):
 
 def test_report_json(noiseless_result, cfg):
     x, _, res = noiseless_result
-    report = json.loads(res.report_json(x, cfg))
+    report = json.loads(res.report_json(cfg))
     assert report["input"]["n"] == len(x)
     assert "timings" in report and "fit" in report
     assert report["config"]["sigma"] == cfg.sigma
 
 
 def test_report_json_nests_each_part_as_written_alone(noiseless_result, cfg):
-    x, _, res = noiseless_result
-    report = json.loads(res.report_json(x, cfg))
+    _, _, res = noiseless_result
+    report = json.loads(res.report_json(cfg))
     assert report["model"] == json.loads(res.model.to_json())
     assert report["metrics"] == json.loads(res.metrics.to_json())
     assert report["fit"] == json.loads(res.fit_diagnostics.to_json())
@@ -241,6 +243,20 @@ def test_decompose_k1_equals_denoise(cfg):
     parts = decompose(x, [cfg], K=1)
     direct = denoise(x, cfg)
     assert np.array_equal(parts[0].reconstruction.samples, direct.reconstruction.samples)
+
+
+@pytest.mark.parametrize("noise_seed, collides", [(5000, False), (5002, True)])
+def test_decompose_warns_of_a_ridge_collision(cfg, noise_seed, collides):
+    # two draws of the criterion-3 set (multicomponent at 10 dB, K = 2): on
+    # 5002 (also 5006, 5008, 5010) the second stage rides the first
+    # component's band again
+    x, _ = generate(SyntheticSpec("multicomponent"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decompose(add_noise(x, 10.0, noise_seed), [cfg], K=2)
+    messages = [str(w.message) for w in caught]
+    collision = "component 2 ridge collides with an earlier component's band"
+    assert (collision in messages) == collides, messages
 
 
 def test_decompose_validates_k(cfg):
@@ -326,6 +342,25 @@ def test_denoise_does_not_depend_on_the_record_start_time(cfg):
                      (res.extension.extended, ref.extension.extended)]:
         assert y.t0 == y_ref.t0 + T0_EPOCH
         assert np.array_equal(y.samples, y_ref.samples)
+
+
+def test_metrics_are_computed_on_first_read_from_the_input(cfg, monkeypatch):
+    x, _ = generate(SyntheticSpec("tv_denoise_s1"))
+    noisy = _at(add_noise(x, 10.0, 0), T0_EPOCH)
+    calls = []
+    real = pipeline_module.residual_metrics
+    monkeypatch.setattr(pipeline_module, "residual_metrics", lambda *args: calls.append(args) or real(*args))
+    res = denoise(noisy, cfg)
+    assert calls == [] and "metrics" not in res.timings
+    assert res.metrics is res.metrics and len(calls) == 1
+    # the extension's core is the input bit for bit, with its times moved
+    residual, estimate = calls[0]
+    assert residual.samples.tobytes() == (noisy.samples - res.reconstruction.samples).tobytes()
+    assert estimate is res.reconstruction
+    report = json.loads(res.report_json(cfg))
+    digest = hashlib.sha256(noisy.samples.tobytes()).hexdigest()[:16]
+    assert report["input"] == {"sha256_16": digest, "n": len(noisy), "fs": noisy.fs}
+    assert report["metrics"] == json.loads(res.metrics.to_json()) and len(calls) == 1
 
 
 def test_segment_does_not_depend_on_the_record_start_time(cfg):

@@ -493,7 +493,7 @@ def test_ftol_cuts_the_creep_tail_of_a_noisy_fit(monkeypatch):
     noisy = add_noise(x, 10.0, 742431198)
 
     def diagnostics():
-        return denoise(noisy, preset("synthetic"), with_metrics=False).fit_diagnostics
+        return denoise(noisy, preset("synthetic")).fit_diagnostics
 
     default = diagnostics()
     monkeypatch.setattr(solver, "FTOL", 1e-6)
@@ -511,7 +511,7 @@ def test_fit_holds_one_jacobian_at_a_time(monkeypatch):
     calls = []
     real_fit = pipeline_module.fit
     monkeypatch.setattr(pipeline_module, "fit", lambda *args: calls.append(args) or real_fit(*args))
-    denoise(add_noise(x, 10.0, 0), preset("synthetic"), with_metrics=False)
+    denoise(add_noise(x, 10.0, 0), preset("synthetic"))
     x_demod, phi1, init, opts = calls[0]
     jacobian_bytes = len(x_demod) * init.flatten().size * np.dtype(float).itemsize
     tracemalloc.start()
