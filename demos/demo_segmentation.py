@@ -2,7 +2,7 @@
 
 The test signal switches its harmonic amplitude mix at t = 0.5 s through
 steep tanh laws. After fitting, each harmonic's amplitude trace is scanned
-for mean shifts and the detected times are averaged.
+for mean shifts, and the median of the first detected times is reported.
 """
 
 from tvshape import SyntheticSpec, add_noise, generate, preset, segment

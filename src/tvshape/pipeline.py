@@ -47,6 +47,7 @@ from .stft import (
     Ridge,
     default_band_halfwidth,
     estimate_fundamental,
+    mean_frequency,
     stft,
     vertical_reconstruct,
 )
@@ -264,7 +265,7 @@ def _denoise(x: RealSignal, cfg: PipelineConfig) -> DenoiseResult:
     r = _staged(timings, "order", estimate_order, x_dem_core, fund.phi1[core], cfg.r_max)
 
     def budget():
-        mean_if = fund.mean_if()
+        mean_if = mean_frequency(fund.phi1, fund.fs)
         counts = []
         n = len(x)
         for ell in range(2, r + 1):
@@ -338,7 +339,7 @@ def decompose(x: RealSignal, cfgs: list[PipelineConfig], K: int) -> list[Denoise
 
 @dataclass
 class SegmentationResult:
-    t_hat: float | None                      # averaged transition estimate, seconds
+    t_hat: float | None                      # median of the per-harmonic first changes, seconds
     per_harmonic: list[tuple[int, float]]    # (l, change time)
     haf_traces: dict[int, np.ndarray]        # per-harmonic sampled HAF on original support
     all_changes: dict[int, list[float]]      # every detected change per harmonic
@@ -359,8 +360,9 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
 
     Each harmonic amplitude function is sampled on the original support
     and scanned for mean shifts (penalty None takes pelt_mean_changes'
-    default); the first change per harmonic is kept and their average is
-    the reported transition time. No changes anywhere yields t_hat = None.
+    default); the first change per harmonic is kept and their median is
+    the reported transition time, so one harmonic's spurious change does
+    not pull it. No changes anywhere yields t_hat = None.
     """
     check_penalty(penalty)      # a bad penalty fails at once, not after the fit
     # fitted and scanned at t0 = 0, as denoise fits; change times on x's axis
@@ -378,7 +380,7 @@ def segment(x: RealSignal, cfg: PipelineConfig, penalty: float | None = None) ->
         all_changes[ell] = times
         if times:
             firsts.append((ell, times[0]))
-    t_hat = float(np.mean([tt for _, tt in firsts])) if firsts else None
+    t_hat = float(np.median([tt for _, tt in firsts])) if firsts else None
     return SegmentationResult(
         t_hat=t_hat,
         per_harmonic=firsts,

@@ -14,8 +14,7 @@ central differences on the four intervals a node moves. The next jacobian
 is taken at the accepted trial, the last one synthesized, so `fit` hands
 the harmonic terms of that trial to `residual_and_jacobian`. The fit holds
 one N x p jacobian at a time: an iteration's J is dropped before the next
-is built, and the free heap pages go back to the OS (malloc_trim) when
-the fit returns.
+is built.
 
 The fit stops at the first of three tests. After an accepted step, MINPACK's
 relative-reduction test (Moré 1978): the actual and the predicted relative
@@ -42,7 +41,6 @@ from .model import HarmonicTerms, WaveShapeModel, harmonic_terms, synthesize
 # --trace 1) wraps these names of this module, so they must stay resolvable
 from .pchip import pchip_eval, pchip_eval_with_amp_jacobian  # noqa: F401
 from .signals import RealSignal
-from .stft import _MALLOC_TRIM
 
 LAMBDA0 = 1e-3          # initial damping
 LAMBDA_CAP = 1e16
@@ -272,7 +270,5 @@ def fit(
             converged_by = "ftol"
             break
 
-    if _MALLOC_TRIM:
-        _MALLOC_TRIM(0)     # the iterations' freed arrays leave the heap, not held until the next STFT
     diag = FitDiagnostics(iterations, trace, converged_by, rss)
     return ctx.template.unflatten(gamma), diag

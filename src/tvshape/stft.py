@@ -193,8 +193,9 @@ def _band_store(rows: int, cols: int) -> np.ndarray:
     map, whose pages go back to the OS as soon as the array is dropped:
     glibc keeps a freed block under its 32 MB mmap threshold on the heap,
     where a live block above it can keep it resident. Free heap pages go
-    back first (malloc_trim): without that, the band stacked on 5-28 MB of
-    a fit's freed arrays in some runs, as the pool threads' timing fell out."""
+    back first (malloc_trim, the package's one heap trim): without that, the
+    band stacked on 5-28 MB of a fit's freed arrays in some runs, as the
+    pool threads' timing fell out."""
     if _MALLOC_TRIM:
         _MALLOC_TRIM(0)
     count = rows * cols
@@ -469,11 +470,6 @@ def _resynthesis(values: np.ndarray, nfft: int) -> np.ndarray:
     return (values @ w).real / nfft
 
 
-def full_band_resynthesis(spec: Spectrogram) -> np.ndarray:
-    """Real signal recovered from all bins (exact inverse of stft)."""
-    return _resynthesis(spec.bins(0, spec.freq_axis.size), spec.nfft)
-
-
 @dataclass
 class FundamentalEstimate:
     """Instantaneous amplitude and phase of the fundamental component."""
@@ -481,10 +477,6 @@ class FundamentalEstimate:
     B1: np.ndarray      # > 0, signal units
     phi1: np.ndarray    # cycles, unwrapped, non-decreasing
     fs: float
-
-    def mean_if(self) -> float:
-        """Average instantaneous frequency in Hz."""
-        return mean_frequency(self.phi1, self.fs)
 
 
 def mean_frequency(phi: np.ndarray, fs: float) -> float:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from tvshape.pchip import _check_nodes, _slope_rules
-from tvshape.stft import full_band_resynthesis, noise_sigma_estimate, stft
+from tvshape.stft import noise_sigma_estimate, stft
 
 
 def fd_jacobian(gamma, ctx):
@@ -114,6 +114,15 @@ def pchip_slopes(times, amps):
     times, amps = _check_nodes(times, amps)
     h = np.diff(times)
     return _slope_rules(h, np.diff(amps) / h)[0]
+
+
+def full_band_resynthesis(spec):
+    """Real signal from every one-sided bin of spec, the exact inverse of
+    stft: weight 2 on interior bins and 1 at DC and Nyquist, over nfft."""
+    values = spec.bins(0, spec.freq_axis.size)
+    w = np.full(values.shape[1], 2.0)
+    w[0] = w[-1] = 1.0
+    return (values @ w).real / spec.nfft
 
 
 def threshold_denoise_mode(x, sigma, mode):

@@ -26,6 +26,7 @@ from tvshape.pipeline import RETIRED_KEYS, RIDGE_HEADROOM
 from tvshape.stft import Spectrogram
 
 pipeline_module = importlib.import_module("tvshape.pipeline")
+stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
 
 @pytest.fixture(scope="module")
@@ -270,16 +271,34 @@ def test_decompose_validates_k(cfg):
         decompose(x, [cfg, cfg, cfg], K=2)
 
 
-def test_segment_mean_definition(cfg):
+def test_segment_median_definition(cfg):
     spec = SyntheticSpec("sharp_transition", params={"t_t": 0.4, "mu": 0.35, "lam": 0.2, "kappa": 50.0, "r": 4})
     x, gt = generate(spec)
     res = segment(add_noise(x, 15.0, 2), cfg)
     assert res.t_hat is not None
-    assert res.t_hat == pytest.approx(np.mean([t for _, t in res.per_harmonic]))
+    assert res.t_hat == np.median([t for _, t in res.per_harmonic])
     assert abs(res.t_hat - 0.4) < 0.02
     assert set(res.haf_traces) == set(range(2, res.model.r + 1))
     for trace in res.haf_traces.values():
         assert trace.size == len(x)
+
+
+def test_segment_ignores_one_harmonics_spurious_change(cfg, monkeypatch):
+    # of three harmonics, the second reports a change 50 ms in; the other
+    # two agree on one at 0.4 s, which is the reported transition
+    spec = SyntheticSpec("sharp_transition", params={"t_t": 0.4, "mu": 0.35, "lam": 0.2, "kappa": 50.0, "r": 4})
+    x, _ = generate(spec)
+    calls = []
+
+    def changes(trace, penalty):
+        calls.append(trace)
+        return [100] if len(calls) == 2 else [800]
+
+    monkeypatch.setattr(pipeline_module, "pelt_mean_changes", changes)
+    res = segment(x, cfg)
+    t = x.times()
+    assert res.per_harmonic == [(2, t[800]), (3, t[100]), (4, t[800])]
+    assert res.t_hat == t[800]
 
 
 def test_segment_constant_hafs_no_changes(cfg):
@@ -407,8 +426,9 @@ WORKLOAD_RECORDS = {rec.name: rec for build in _workloads().WORKLOADS.values() f
 @pytest.mark.parametrize("name", list(WORKLOAD_RECORDS))
 def test_workload_record_stores_a_low_band_of_its_spectrogram(monkeypatch, name):
     rec = WORKLOAD_RECORDS[name]
-    made, cycles, reads = [], [], []
+    made, cycles, reads, transforms = [], [], [], []
     real_stft, real_cycle, real_bins = pipeline_module.stft, pipeline_module.fractional_cycle_len, Spectrogram.bins
+    real_transform = stft_module._transform
 
     def recording_stft(*args):
         spec = real_stft(*args)
@@ -423,15 +443,23 @@ def test_workload_record_stores_a_low_band_of_its_spectrogram(monkeypatch, name)
         reads.append((start, stop, self.first, self.first + self.values.shape[1]))
         return real_bins(self, start, stop)
 
+    def recording_transform(*args):
+        transforms.append(args[3:])
+        return real_transform(*args)
+
     monkeypatch.setattr(pipeline_module, "stft", recording_stft)
     monkeypatch.setattr(pipeline_module, "fractional_cycle_len", recording_cycle)
     monkeypatch.setattr(Spectrogram, "bins", recording_bins)
+    monkeypatch.setattr(stft_module, "_transform", recording_transform)
     if rec.driver == "decompose":
         decompose(rec.signal, [rec.cfg], K=rec.K)
     elif rec.driver == "segment":
         segment(rec.signal, rec.cfg)
     else:
         denoise(rec.signal, rec.cfg)
+    # one FFT pass per spectrogram: a read that regrew the band would cost
+    # a second pass over the record, into a band at least twice as wide
+    assert len(transforms) == len(made)
     assert len(made) == rec.K and len(cycles) == 2 * rec.K      # one spectrogram per stage
     delta = rec.cfg.resolved_delta(rec.signal.fs)
     for (spec, first, stored), edge_cycles in zip(made, np.reshape(cycles, (rec.K, 2)), strict=True):

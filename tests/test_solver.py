@@ -30,7 +30,6 @@ from oracles import fd_jacobian, pchip_slopes
 
 FS = 2000.0
 pipeline_module = importlib.import_module("tvshape.pipeline")
-stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
 
 def _phi(n, f0=40.0, fm=0.0):
@@ -522,15 +521,6 @@ def test_fit_holds_one_jacobian_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert diag.iterations > 1
     assert peak < 2 * jacobian_bytes
-
-
-def test_fit_returns_the_free_heap_pages_once(monkeypatch):
-    # the handle stft's band store trims with
-    assert solver._MALLOC_TRIM is stft_module._MALLOC_TRIM
-    calls = []
-    monkeypatch.setattr(solver, "_MALLOC_TRIM", calls.append)
-    _, diag = _pinned_phase_ratio_fit()
-    assert diag.iterations > 1 and calls == [0]
 
 
 def test_ftol_diagnostics_json_roundtrip():

@@ -23,13 +23,12 @@ from tvshape.stft import (
     Ridge,
     Spectrogram,
     fft_length,
-    full_band_resynthesis,
     gaussian_window,
     noise_sigma_estimate,
     threshold_coefficients,
 )
 
-from oracles import gathered_band_sums, threshold_denoise_mode
+from oracles import full_band_resynthesis, gathered_band_sums, threshold_denoise_mode
 
 stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
