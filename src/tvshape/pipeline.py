@@ -255,7 +255,10 @@ def _denoise(x: RealSignal, cfg: PipelineConfig) -> DenoiseResult:
     # sums come from the record
     max_freq = RIDGE_HEADROOM * x.fs / min(c_fwd, c_bwd) + delta + cfg.max_jump_hz
     min_freq = x.fs / max(c_fwd, c_bwd) / RIDGE_HEADROOM - delta - cfg.max_jump_hz
-    spec = _staged(timings, "stft", stft, xe, cfg.sigma, max_freq, min_freq)
+    # the finest steps read are a ridge jump and the band half-width: a
+    # window longer than the record sizes no finer grid than those need
+    resolution = min(cfg.max_jump_hz, delta)
+    spec = _staged(timings, "stft", stft, xe, cfg.sigma, max_freq, min_freq, resolution)
     fund, ridge = _staged(timings, "fundamental", estimate_fundamental, spec, cfg.max_jump_hz, delta)
     x_dem = _staged(timings, "demodulate", demodulate, xe, fund)
     # estimation sub-stages look at the original support only: the

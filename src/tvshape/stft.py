@@ -9,7 +9,14 @@ with w = 2 on interior bins and 1 at DC/Nyquist (the window peak g(0) is 1).
 
 The frequency grid is capped: nfft covers the record only up to
 GRID_WINDOWS truncated windows, so beyond that length the spectrogram's
-memory and FFT time grow linearly in the number of samples.
+memory and FFT time grow linearly in the number of samples. Below it,
+nfft is at least the frame's in-record support, min(N, window length),
+and a caller that states the finest frequency step it reads lets a
+window longer than the record go no finer than that step: a DFT longer
+than a frame's nonzero support adds no resolution, it only interpolates
+the spectrum. A window longer than nfft is folded, tap m added into FFT
+index m mod nfft; at most one in-record tap lands on each index, so the
+fold is exact.
 
 `stft` makes one pass over the frames: it splits the frame rows into one
 contiguous span per CPU the process may run on and runs the spans on a
@@ -17,27 +24,28 @@ thread pool (numpy's FFT and ufunc loops release the GIL), a one-thread
 pool on one CPU. Each span is walked a block of frames at a time, and
 each block is transformed over every bin into its worker's buffers; |F|
 of the block gives its first maximum, and the blocks' maxima combine
-into the ridge's anchor, the first global |F| maximum. Only the bins
-between the caller's min_freq and max_freq are then copied out and
-stored, in an anonymous memory map whose pages go back to the OS when
-the spectrogram is dropped. The spectrogram keeps the record and window
-it was computed from, the band's first bin, and derives its frequency
-grid and window coverage. A band sum that reaches outside the stored
-bins is computed from the record (`vertical_reconstruct`): the record
-correlated with the window times the band's closed-form Dirichlet
-kernel. Only a read through `Spectrogram.bins` (the ridge walk, and the
-fundamental's band) recomputes: a read above or below the stored band transforms, by the
-same pass, a band that spans the stored band and the read, at least
-twice the stored width, grown toward the read and never past bin 0 or
-the last bin, and that band serves every later read within it.
+into the ridge's anchor, the first global |F| maximum, unless the caller
+walks no ridge (`anchor=False`). Only the bins between the caller's
+min_freq and max_freq are then copied out and stored, in an anonymous
+memory map whose pages go back to the OS when the spectrogram is
+dropped. The spectrogram keeps the record and window it was computed
+from, the band's first bin, and derives its frequency grid and window
+coverage. A band sum that reaches outside the stored bins is computed
+from the record (`vertical_reconstruct`): the record correlated with the
+window times the band's closed-form Dirichlet kernel. Only a read
+through `Spectrogram.bins` (the ridge walk, and the fundamental's band)
+recomputes: a read above or below the stored band transforms, by the
+same pass but with no anchor search (the anchor is known), a band that
+spans the stored band and the read, at least twice the stored width,
+grown toward the read and never past bin 0 or the last bin, and that
+band serves every later read within it.
 
-The calling thread allocates every block buffer before the threads start,
-one set per worker, with BLOCK_ELEMENTS shared among them: a buffer a
-worker thread allocated itself would stay resident in that thread's
-malloc arena. Each call opens its own pool and joins it before returning,
-so no pool is left for a forked child to inherit without its threads. A
-row is computed the same way whatever span and block hold it, so the
-output does not depend on the CPU count.
+The calling thread allocates every block buffer before the threads start, one set per worker, with BLOCK_ELEMENTS
+shared among them: a buffer a worker thread allocated itself would stay
+resident in that thread's malloc arena. Each call opens its own pool and
+joins it before returning, so no pool is left for a forked child to
+inherit without its threads. A row is computed the same way whatever
+span and block hold it, so the output does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -80,8 +88,9 @@ class Spectrogram:
     returns from `first`. The record is always held, so any bin can be
     recomputed or summed from it.
     anchor is the (frame, bin) of the first |F| maximum over all bins in
-    time-major order, None when every entry is zero; `stft` finds it in
-    its FFT pass. freq_axis and window_coverage are derived.
+    time-major order, None when every entry is zero or when `stft` was
+    asked for no anchor; `stft` finds it in its FFT pass. freq_axis and
+    window_coverage are derived.
     """
 
     values: np.ndarray            # (N, K) complex, bins first..first+K-1
@@ -108,7 +117,7 @@ class Spectrogram:
             width = min(n_freq, max(hi - lo, 2 * stored))
             lo = max(0, hi - width) if start < self.first else min(lo, n_freq - width)
             self.values = None      # the old band's pages go back before the wider one is made
-            self.values = _transform(self.record, self.window, self.nfft, lo, lo + width)[0]
+            self.values = _transform(self.record, self.window, self.nfft, lo, lo + width, anchor=False)[0]
             self.first = lo
         return self.values
 
@@ -162,16 +171,22 @@ def default_band_halfwidth(sigma: float, fs: float) -> float:
     return float(np.sqrt(np.log(1e3) * sigma) / np.pi * fs)
 
 
-def fft_length(n_samples: int, window_length: int) -> int:
+def fft_length(n_samples: int, window_length: int, resolution: float | None = None) -> int:
     """FFT length of the STFT of an n_samples record with a window_length window.
 
     The next power of two covering max(L, min(N, GRID_WINDOWS * L)): the
     grid refines with the record up to GRID_WINDOWS windows and is fixed by
     the window beyond, so the (N, nfft/2+1) spectrogram grows linearly in N.
-    nfft >= L lets each windowed frame wrap into the FFT buffer without
-    overlapping itself.
+    A resolution, the finest frequency step the caller reads in cycles per
+    sample (Hz / fs), lowers the window floor L to min(L, 1 / resolution):
+    a window longer than the record then sizes no finer grid than the record
+    and that step need, and the bin width stays at most the resolution.
+    Either way nfft is at least min(N, L), the frame's in-record support,
+    so a windowed frame folded into the FFT buffer (tap m at index m mod
+    nfft) puts at most one in-record tap on each index.
     """
-    need = max(window_length, min(n_samples, GRID_WINDOWS * window_length))
+    floor = window_length if resolution is None else min(window_length, 1.0 / resolution)
+    need = max(floor, min(n_samples, GRID_WINDOWS * window_length))
     return 1 << int(np.ceil(np.log2(need)))
 
 
@@ -205,28 +220,43 @@ def _band_store(rows: int, cols: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=complex, count=count).reshape(rows, cols)
 
 
-def _transform(samples: np.ndarray, g: np.ndarray, nfft: int,
-               lo: int, hi: int) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Bins lo..hi-1 of every frame's windowed FFT, and the (frame, bin) of
-    the first |F| maximum over all bins in time-major order (None if all
-    are zero).
+def _fold_runs(half: int, nfft: int) -> list[tuple[int, int, int]]:
+    """(first column, end column, FFT index) of each run of a frame's
+    2 * half + 1 taps that lands on consecutive FFT indices: column j holds
+    tap m = j - half, which goes to index m mod nfft (window-centered phase).
+    Runs end where the index wraps to 0 and at every multiple of nfft
+    columns, so the runs that start in the first nfft columns fill every
+    index once and each later run adds onto them. A window that fits in nfft
+    has two runs: its right half from index 0, its left half at the end."""
+    taps = 2 * half + 1
+    cuts = sorted({0, taps, *range(nfft, taps, nfft), *range(half % nfft, taps, nfft)})
+    return [(a, b, (a - half) % nfft) for a, b in zip(cuts, cuts[1:])]
+
+
+def _transform(samples: np.ndarray, g: np.ndarray, nfft: int, lo: int, hi: int,
+               anchor: bool = True) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Bins lo..hi-1 of every frame's windowed FFT, and with anchor the
+    (frame, bin) of the first |F| maximum over all bins in time-major order
+    (None if all are zero, or without anchor).
 
     The rows split into one contiguous span per worker (`worker_count`),
     and each span is walked in blocks of at most BLOCK_ELEMENTS / workers
-    frame samples. Each block's |F| is taken as it leaves the FFT; the
-    blocks' first maxima are combined in row order with a strict >, so a
-    tie anchors at the earliest frame whatever the block and span
-    boundaries.
+    frame samples. A window longer than nfft is folded (`_fold_runs`).
+    Each block's |F| is taken as it leaves the FFT; the blocks' first
+    maxima are combined in row order with a strict >, so a tie anchors at
+    the earliest frame whatever the block and span boundaries.
     """
     n_rows, n_bins, half = samples.size, nfft // 2 + 1, g.size // 2
     padded = np.concatenate([np.zeros(half), samples, np.zeros(half)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+    runs = _fold_runs(half, nfft)
     values = _band_store(n_rows, hi - lo)
     workers = worker_count(n_rows)
     bounds = [n_rows * w // workers for w in range(workers + 1)]
     chunk = max(1, min(-(-n_rows // workers), BLOCK_ELEMENTS // (workers * nfft)))
     # allocated here, before the pool starts: see the module docstring
-    bufs = [(np.zeros((chunk, nfft)), np.empty((chunk, n_bins), complex), np.empty((chunk, n_bins)))
+    bufs = [(np.zeros((chunk, nfft)), np.empty((chunk, n_bins), complex),
+             np.empty((chunk, n_bins if anchor else 0)))
             for _ in range(workers)]
 
     def walk_span(w: int) -> tuple[float, int]:
@@ -234,16 +264,23 @@ def _transform(samples: np.ndarray, g: np.ndarray, nfft: int,
         for start in range(bounds[w], bounds[w + 1], chunk):
             stop = min(start + chunk, bounds[w + 1])
             b, spectrum, mag = (buf[: stop - start] for buf in bufs[w])
-            # window-centered phase: g's center goes to FFT index 0 and its left
-            # half wraps to the end; the middle of b is never written, so stays 0
-            np.multiply(frames[start:stop, half:], g[half:], out=b[:, : half + 1])
-            np.multiply(frames[start:stop, :half], g[:half], out=b[:, nfft - half :])
+            # a window inside nfft leaves the middle of b unwritten, so 0; a
+            # longer one's later runs add on through the spectrum's buffer,
+            # free until the rfft fills it (a row holds 2 * n_bins > nfft doubles)
+            for j0, j1, i in runs:
+                if j0 < nfft:
+                    np.multiply(frames[start:stop, j0:j1], g[j0:j1], out=b[:, i : i + j1 - j0])
+                else:
+                    added = spectrum.view(float)[:, : j1 - j0]
+                    np.multiply(frames[start:stop, j0:j1], g[j0:j1], out=added)
+                    b[:, i : i + j1 - j0] += added
             np.fft.rfft(b, axis=1, out=spectrum)
             values[start:stop] = spectrum[:, lo:hi]
-            np.abs(spectrum, out=mag)
-            k = int(np.argmax(mag))
-            if mag.flat[k] > best[0]:
-                best = (mag.flat[k], start * n_bins + k)
+            if anchor:
+                np.abs(spectrum, out=mag)
+                k = int(np.argmax(mag))
+                if mag.flat[k] > best[0]:
+                    best = (mag.flat[k], start * n_bins + k)
         return best
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -253,15 +290,20 @@ def _transform(samples: np.ndarray, g: np.ndarray, nfft: int,
 
 
 def stft(x: RealSignal, sigma: float, max_freq: float | None = None,
-         min_freq: float | None = None) -> Spectrogram:
+         min_freq: float | None = None, resolution: float | None = None,
+         *, anchor: bool = True) -> Spectrogram:
     """Per-sample-hop Gaussian-window STFT with one-sided frequency axis.
 
-    The FFT length is `fft_length(N, 2*half + 1)`: it follows the record up
-    to GRID_WINDOWS truncated windows and is fixed by the window beyond, so
-    memory and FFT time are linear in N. Only the bins from min_freq to
-    max_freq Hz (at least the first bin at or above min_freq) are stored;
-    None leaves that side open, and a min_freq at or below 0 keeps DC. The
-    anchor is found over every bin either way.
+    The FFT length is `fft_length(N, 2*half + 1, resolution / fs)`: it
+    follows the record up to GRID_WINDOWS truncated windows and is fixed by
+    the window beyond, so memory and FFT time are linear in N. resolution,
+    the finest frequency step in Hz the caller reads, lets a window longer
+    than the record size its grid by the record and that step; None keeps
+    the window's grid. Only the bins from min_freq to max_freq Hz (at least
+    the first bin at or above min_freq) are stored; None leaves that side
+    open, and a min_freq at or below 0 keeps DC. The anchor is found over
+    every bin either way, unless anchor is False (a caller that walks no
+    ridge), which leaves it None.
     """
     g, half = gaussian_window(sigma)
     if 2 * half + 1 < 8:
@@ -272,12 +314,14 @@ def stft(x: RealSignal, sigma: float, max_freq: float | None = None,
         raise ValueError(f"max_freq must be non-negative, got {max_freq}")
     if min_freq is not None and not min_freq <= (np.inf if max_freq is None else max_freq):
         raise ValueError(f"min_freq must not exceed max_freq, got {min_freq} and {max_freq}")
-    nfft = fft_length(len(x), 2 * half + 1)
+    if resolution is not None and not 0 < resolution < np.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    nfft = fft_length(len(x), 2 * half + 1, None if resolution is None else resolution / x.fs)
     freq_axis = _frequency_grid(x.fs, nfft)
     first = 0 if min_freq is None else min(int(np.searchsorted(freq_axis, min_freq)), freq_axis.size - 1)
     stop = freq_axis.size if max_freq is None else int(np.searchsorted(freq_axis, max_freq, side="right"))
-    values, anchor = _transform(x.samples, g, nfft, first, max(first + 1, stop))
-    return Spectrogram(values, x.fs, nfft, g, anchor, x.samples, first)
+    values, found = _transform(x.samples, g, nfft, first, max(first + 1, stop), anchor)
+    return Spectrogram(values, x.fs, nfft, g, found, x.samples, first)
 
 
 def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
@@ -296,7 +340,7 @@ def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:
             f" at fs={spec.fs:g} Hz (nfft={spec.nfft}); raise I_f or lower sigma"
         )
     if spec.anchor is None:
-        raise ValueError("all-zero spectrogram")
+        raise ValueError("spectrogram has no anchor: all-zero, or made with anchor=False")
     n_time = spec.n_times
     anchor_t, anchor_f = spec.anchor
 
@@ -427,14 +471,17 @@ def _record_band_sums(spec: Spectrogram, lo: np.ndarray, hi: np.ndarray) -> np.n
     FFT; each distinct width w = hi - lo takes one, of its lo = 0 kernel in
     closed form,
         g(m) * 2 exp(-i pi m (w - 1) / nfft) sin(pi m w / nfft) / sin(pi m / nfft)
-    (2w g(0) at m = 0, the arguments reduced modulo 2 nfft in integers),
-    whose w = 1 case, halved, is the DC and (shifted) Nyquist term; and each
-    distinct band takes one inverse FFT.
+    (2w g(m) where m is a multiple of nfft, the arguments reduced modulo
+    2 nfft in integers), whose w = 1 case, halved, is the DC and (shifted)
+    Nyquist term; and each distinct band takes one inverse FFT. A window
+    longer than the record can hold taps at nonzero multiples of nfft and
+    put two taps on one of the L slots; such taps lie N or more samples from
+    the frame, so they never meet the record.
     """
     half, nfft, n_freq, n = spec.window.size // 2, spec.nfft, spec.freq_axis.size, spec.n_times
     size = max(nfft, 1 << int(np.ceil(np.log2(n + half))))
     m = np.arange(-half, half + 1)
-    inner = m != 0
+    inner = m % nfft != 0
 
     @functools.cache
     def width_kernel(w: int) -> np.ndarray:
@@ -535,6 +582,6 @@ def threshold_denoise(x: RealSignal, sigma: float) -> tuple[RealSignal, RealSign
     coefficient magnitudes, then each thresholded set's full-band
     resynthesis, trimmed to the input support.
     """
-    spec = stft(x, sigma)
+    spec = stft(x, sigma, anchor=False)
     eta = 3.0 * np.sqrt(2.0) * noise_sigma_estimate(spec) * np.linalg.norm(spec.window)
     return tuple(x.with_samples(_resynthesis(v, spec.nfft)) for v in threshold_coefficients(spec.values, eta))

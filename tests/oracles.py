@@ -140,3 +140,16 @@ def threshold_denoise_mode(x, sigma, mode):
             scale = np.where(mag > 0, np.maximum(mag - eta, 0.0) / np.where(mag > 0, mag, 1.0), 0.0)
         values = spec.values * scale
     return x.with_samples(full_band_resynthesis(replace(spec, values=values)))
+
+
+def unfolded_transform(samples, g, nfft):
+    """Every bin of every frame's windowed FFT on an nfft-point grid that
+    holds the whole window (nfft >= g.size), built on its own: tap m of a
+    frame at index m mod nfft, no two taps on one index, then one rfft."""
+    half = g.size // 2
+    assert nfft >= g.size
+    padded = np.concatenate([np.zeros(half), samples, np.zeros(half)])
+    frames = np.lib.stride_tricks.sliding_window_view(padded, g.size) * g
+    buf = np.zeros((samples.size, nfft))
+    buf[:, np.arange(-half, half + 1) % nfft] = frames
+    return np.fft.rfft(buf, axis=1)

@@ -23,6 +23,7 @@ from tvshape.pipeline import RETIRED_KEYS
 from tvshape.stft import Spectrogram, fft_length, gaussian_window
 
 pipeline_module = importlib.import_module("tvshape.pipeline")
+stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +122,9 @@ def test_ip_preset_accepted(tmp_path):
 
 
 def test_decompose_of_the_ip_record_finds_both_rhythms():
-    # the second stage's residual carries edge cycles of ~0.28 Hz, and its
-    # ridge runs at 1.4 Hz, past the spectrogram band sized from them
+    # each stage's mean ridge rate lies within a bin of the window's own
+    # grid (fs / 16384, finer than the 4096-point grid the record is
+    # transformed on) of one rhythm
     x = _ip_record()
     cfg = preset("ip", r_max=3)
     _, half = gaussian_window(cfg.sigma)
@@ -135,32 +137,51 @@ def test_decompose_of_the_ip_record_finds_both_rhythms():
 
 
 def test_decompose_of_the_ip_record_grows_no_band_past_its_reads(monkeypatch):
-    # stage 2's ridge walk reads past the band sized from the residual's
-    # edge cycles: the band grows to the width read, not to every bin
-    made, reads = [], {}
-    real_stft, real_bins = pipeline_module.stft, Spectrogram.bins
+    # the ip window (8583 taps) outruns the 2304-sample extended record, so
+    # each stage transforms on a grid sized by the record and the steps it
+    # reads, 4096 points. On it stage 2's residual shows its own ~1.42 Hz
+    # rhythm at both edges, so the band sized from its edge cycles holds
+    # every read of the ridge walk and the fundamental: one FFT pass per
+    # stage, and no band grows
+    x, cfg = _ip_record(), preset("ip", r_max=3)
+    made, cycles, reads, transforms = [], [], [], []
+    real_stft, real_cycle, real_bins = pipeline_module.stft, pipeline_module.fractional_cycle_len, Spectrogram.bins
+    real_transform = stft_module._transform
 
-    def recording_stft(*args):
-        spec = real_stft(*args)
+    def recording_stft(*args, **kwargs):
+        spec = real_stft(*args, **kwargs)
         made.append((spec, spec.first, spec.values.shape[1]))
         return spec
 
+    def recording_cycle(*args):
+        cycles.append(real_cycle(*args))
+        return cycles[-1]
+
     def recording_bins(self, start, stop):
-        low, high = reads.get(id(self), (start, stop))
-        reads[id(self)] = (min(low, start), max(high, stop))
+        reads.append((id(self), start, stop))
         return real_bins(self, start, stop)
 
+    def recording_transform(*args, **kwargs):
+        transforms.append(args[3:5])
+        return real_transform(*args, **kwargs)
+
     monkeypatch.setattr(pipeline_module, "stft", recording_stft)
+    monkeypatch.setattr(pipeline_module, "fractional_cycle_len", recording_cycle)
     monkeypatch.setattr(Spectrogram, "bins", recording_bins)
-    decompose(_ip_record(), [preset("ip", r_max=3)], K=2)
-    assert len(made) == 2
+    monkeypatch.setattr(stft_module, "_transform", recording_transform)
+    decompose(x, [cfg], K=2)
+    assert len(made) == len(transforms) == 2
+    _, half = gaussian_window(cfg.sigma)
+    n_ext = made[0][0].n_times
+    resolution = min(cfg.max_jump_hz, cfg.delta) / x.fs
+    assert n_ext < 2 * half + 1
+    assert fft_length(n_ext, 2 * half + 1, resolution) == 4096 < fft_length(n_ext, 2 * half + 1)
+    assert all(rate == pytest.approx(1.42, abs=0.02) for rate in x.fs / np.asarray(cycles[2:]))
     for spec, first, stored in made:
-        low, high = reads[id(spec)]
-        span = max(high, first + stored) - min(low, first)
-        assert spec.values.shape[1] <= max(span, 2 * stored)
-        assert spec.values.shape[1] < 0.25 * spec.freq_axis.size
-    spec, first, stored = made[1]
-    assert spec.values.shape[1] > stored
+        assert spec.nfft == 4096
+        assert (spec.first, spec.values.shape[1]) == (first, stored)
+        own = [(start, stop) for key, start, stop in reads if key == id(spec)]
+        assert own and all(first <= start and stop <= first + stored for start, stop in own)
 
 
 def test_segment_command(tmp_path):

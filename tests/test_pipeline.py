@@ -1,9 +1,7 @@
 import hashlib
-import importlib.util
+import importlib
 import json
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,28 +408,15 @@ def test_reconstructions_sit_on_the_record_axis(cfg, noiseless_result, t0):
     assert res.reconstruction.t0 == res.lr_reconstruction.t0 == x.t0
 
 
-def _workloads():
-    # the benchmark's workload records, built by perfbench/workloads.py
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOAD_RECORDS = {rec.name: rec for build in _workloads().WORKLOADS.values() for rec in build()}
-
-
-@pytest.mark.parametrize("name", list(WORKLOAD_RECORDS))
-def test_workload_record_stores_a_low_band_of_its_spectrogram(monkeypatch, name):
-    rec = WORKLOAD_RECORDS[name]
+def test_workload_record_stores_a_low_band_of_its_spectrogram(monkeypatch, workload_record):
+    # workload_record runs over the benchmark's records (conftest.py)
+    rec = workload_record
     made, cycles, reads, transforms = [], [], [], []
     real_stft, real_cycle, real_bins = pipeline_module.stft, pipeline_module.fractional_cycle_len, Spectrogram.bins
     real_transform = stft_module._transform
 
-    def recording_stft(*args):
-        spec = real_stft(*args)
+    def recording_stft(*args, **kwargs):
+        spec = real_stft(*args, **kwargs)
         made.append((spec, spec.first, spec.values.shape[1]))
         return spec
 
@@ -443,9 +428,9 @@ def test_workload_record_stores_a_low_band_of_its_spectrogram(monkeypatch, name)
         reads.append((start, stop, self.first, self.first + self.values.shape[1]))
         return real_bins(self, start, stop)
 
-    def recording_transform(*args):
+    def recording_transform(*args, **kwargs):
         transforms.append(args[3:])
-        return real_transform(*args)
+        return real_transform(*args, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "stft", recording_stft)
     monkeypatch.setattr(pipeline_module, "fractional_cycle_len", recording_cycle)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from tvshape import (
+    PipelineStageError,
     RealSignal,
     SyntheticSpec,
     add_noise,
     default_band_halfwidth,
+    denoise,
     estimate_fundamental,
     extract_ridge,
     generate,
@@ -28,7 +30,7 @@ from tvshape.stft import (
     threshold_coefficients,
 )
 
-from oracles import full_band_resynthesis, gathered_band_sums, threshold_denoise_mode
+from oracles import full_band_resynthesis, gathered_band_sums, threshold_denoise_mode, unfolded_transform
 
 stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
@@ -450,6 +452,39 @@ def test_fft_length_follows_record_up_to_grid_cap(name):
         # stft itself is built only where it stays small
         if n * (nfft // 2 + 1) * 16 <= SMALL_SPEC_BYTES:
             assert stft(RealSignal(np.zeros(n), FS), sigma).nfft == nfft
+    # a stated resolution (cycles per sample) lowers only the window floor,
+    # to min(L, 1 / resolution): a record the window fits inside, or a step
+    # finer than the window's grid, keeps that grid; a window longer than
+    # the record takes the smallest power of two covering the record and
+    # 1 / resolution, at least min(N, L) and no coarser than the step
+    for resolution in (1 / (2 * L), 1 / L, 3 / L, 64 / L):
+        for n in (L // 3, L - 1, L, L + 1, 2 * L, cap - 1, cap, cap + 1, 6 * L, 10 * L):
+            nfft = fft_length(n, L, resolution)
+            if n >= L or 1 / resolution >= L:
+                assert nfft == fft_length(n, L)
+            else:
+                need = max(n, 1 / resolution)
+                assert need <= nfft < 2 * need and nfft <= fft_length(n, L)
+                assert nfft >= min(n, L) and 1 / nfft <= resolution
+            if n * (nfft // 2 + 1) * 16 <= SMALL_SPEC_BYTES:
+                assert stft(RealSignal(np.zeros(n), FS), sigma, resolution=resolution * FS).nfft == nfft
+
+
+@pytest.mark.parametrize("name", ["synthetic", "eeg", "ip", "ecg"])
+def test_a_stated_resolution_raises_the_ridge_step_error_where_the_window_grid_does(name):
+    # the pipeline states min(I_f, delta): a ridge step below one bin fails
+    # on the record-sized grid exactly where it fails on the window's grid,
+    # on records shorter and longer than the window, at 256 Hz and 2 kHz
+    cfg = preset(name)
+    _, half = gaussian_window(cfg.sigma)
+    L = 2 * half + 1
+    for fs in (256.0, FS):
+        delta = cfg.resolved_delta(fs)
+        for n in (L // 4, L // 2, L - 1, L, 3 * L):
+            window_bin = fs / fft_length(n, L)
+            for max_jump in window_bin * np.array([0.25, 0.5, 0.99, 1.0, 1.01, 2.0, 8.0, 64.0]):
+                bin_width = fs / fft_length(n, L, min(max_jump, delta) / fs)
+                assert (max_jump < bin_width) == (max_jump < window_bin)
 
 
 def test_spectrogram_bytes_linear_in_record_above_grid_cap():
@@ -506,6 +541,124 @@ def test_long_record_keeps_extended_one_second_bin_width(long_chirp):
     _, spec = long_chirp
     # a 1 s record extended by 10% per side (2400 samples) has the same grid
     assert spec.bin_width == FS / fft_length(2400, spec.window.size) == FS / 4096
+
+
+@pytest.fixture(scope="module", params=[200, 60])
+def folded(request):
+    """A noisy tone of 200 or 60 samples, under half the synthetic preset's
+    859-tap window, transformed on a grid of 256 or 64 points (the record
+    and a resolution of fs / 256 or fs / 64): each frame is folded into an
+    FFT shorter than the window, against the window's 1024-point grid."""
+    n = request.param
+    x = RealSignal(_tone(40.0, n=n).samples + np.random.default_rng(n).standard_normal(n), FS)
+    nfft = 256 if n == 200 else 64
+    spec = stft(x, SIGMA, resolution=FS / nfft)
+    assert spec.nfft == nfft and 2 * n < spec.window.size and fft_length(n, spec.window.size) == 1024
+    return x, spec
+
+
+def test_folded_transform_is_every_kth_bin_of_the_window_grid(monkeypatch, folded):
+    x, spec = folded
+    reference = unfolded_transform(x.samples, spec.window, 1024)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(spec.values - reference[:, :: 1024 // spec.nfft])) <= 1e-12 * scale
+    mag = np.abs(spec.values)
+    assert spec.anchor == np.unravel_index(np.argmax(mag), mag.shape)
+    # and bit for bit whatever the workers and blocks that fold the rows
+    for workers, block in ((1, stft_module.BLOCK_ELEMENTS), (3, 3 * spec.nfft)):
+        monkeypatch.setattr(stft_module, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(stft_module, "worker_count", lambda n_rows, w=workers: min(w, n_rows))
+        again = stft(x, SIGMA, resolution=x.fs / spec.nfft)
+        assert again.values.tobytes() == spec.values.tobytes() and again.anchor == spec.anchor
+
+
+def test_folded_transform_full_band_inversion(folded):
+    x, spec = folded
+    rec = full_band_resynthesis(spec)
+    assert np.linalg.norm(rec - x.samples) / np.linalg.norm(x.samples) < 1e-12
+
+
+def test_folded_band_sums_from_the_record_equal_the_stored_ones(folded):
+    # the record path's kernel holds taps at multiples of nfft, past the
+    # record, and on the 60-sample record two taps share a correlation slot
+    _, spec = folded
+    n, n_freq = spec.n_times, spec.freq_axis.size
+    rng = np.random.default_rng(6)
+    cases = [(np.zeros(n, dtype=int), np.full(n, n_freq))]
+    for w in (0, 1, 2, 7, n_freq // 2):
+        lo = rng.integers(0, n_freq - w + 1, n)
+        cases.append((lo, lo + w))
+    cases.append((np.zeros(n, dtype=int), rng.integers(0, n_freq + 1, n)))
+    cases.append((rng.integers(0, n_freq + 1, n), np.full(n, n_freq)))
+    for lo, hi in cases:
+        stored = stft_module._stored_band_sums(spec.values, 0, lo, hi, n_freq)
+        recorded = stft_module._record_band_sums(spec, lo, hi)
+        assert np.all(np.isfinite(recorded))
+        assert np.max(np.abs(recorded - stored)) <= 1e-12 * np.max(np.abs(spec.values))
+
+
+def test_short_record_whose_step_needs_the_window_grid_keeps_it_bit_for_bit(monkeypatch):
+    # 8 s at 256 Hz under the eeg preset, 2458 samples once extended, under
+    # its 6071-tap window: I_f = 0.04 Hz needs 6400 points, more than the
+    # window, so the grid stays the window's (8192) and so does every output
+    eeg = preset("eeg")
+    t = np.arange(8 * 256) / 256.0
+    clean = np.cos(2 * np.pi * 3 * t) + 0.5 * np.cos(2 * np.pi * 6 * t + 0.3) + 0.2 * np.cos(2 * np.pi * 9 * t)
+    x = add_noise(RealSignal(clean, 256.0), 15.0, 3)
+    pipeline_module = importlib.import_module("tvshape.pipeline")
+    real_stft, made = pipeline_module.stft, []
+
+    def window_grid_stft(xe, sigma, max_freq, min_freq, resolution):
+        made.append(resolution)
+        return real_stft(xe, sigma, max_freq, min_freq)
+
+    stated = denoise(x, eeg)
+    monkeypatch.setattr(pipeline_module, "stft", window_grid_stft)
+    window = denoise(x, eeg)
+    _, half = gaussian_window(eeg.sigma)
+    n_ext = len(stated.extension.extended)
+    assert n_ext < 2 * half + 1
+    assert made == [min(eeg.max_jump_hz, eeg.delta)]
+    assert fft_length(n_ext, 2 * half + 1, made[0] / x.fs) == fft_length(n_ext, 2 * half + 1) == 8192
+    assert stated.reconstruction.samples.tobytes() == window.reconstruction.samples.tobytes()
+    assert stated.ridge.freq.tobytes() == window.ridge.freq.tobytes()
+    assert stated.model.to_dict() == window.model.to_dict()
+    assert stated.fit_diagnostics.rss_trace == window.fit_diagnostics.rss_trace
+    # and a ridge step below that grid's bin still fails where it failed
+    with pytest.raises(PipelineStageError) as err:
+        denoise(x, preset("eeg", max_jump_hz=0.5 * 256.0 / 8192))
+    assert isinstance(err.value.cause, stft_module.ResolutionError)
+
+
+def test_a_spectrogram_without_its_anchor_holds_the_same_bytes(monkeypatch):
+    # threshold_denoise walks no ridge and a band regrown by `bins` keeps its
+    # anchor, so neither searches |F|: the values and the thresholding
+    # outputs are those of the anchor-searching pass
+    x = add_noise(generate(SyntheticSpec("tv_reconstruction"))[0], 5.0, 7)
+    searched = stft(x, SIGMA)
+    bare = stft(x, SIGMA, anchor=False)
+    assert bare.anchor is None and searched.anchor is not None
+    assert bare.values.tobytes() == searched.values.tobytes()
+    with pytest.raises(ValueError, match="no anchor"):
+        extract_ridge(bare, 2.0)
+    band = stft(x, SIGMA, 60.0)
+    anchor, ridge = band.anchor, extract_ridge(band, 2.0)
+    grown = band.bins(0, searched.freq_axis.size)
+    assert band.anchor == anchor == searched.anchor
+    assert grown.tobytes() == searched.values.tobytes()
+    assert ridge.freq.tobytes() == extract_ridge(searched, 2.0).freq.tobytes()
+    asked = []
+    real_stft = stft_module.stft
+
+    def recording_stft(*args, **kwargs):
+        asked.append(kwargs.get("anchor", True))
+        return real_stft(*args, **kwargs)
+
+    monkeypatch.setattr(stft_module, "stft", recording_stft)
+    both = threshold_denoise(x, SIGMA)
+    assert asked == [False]
+    for y, mode in zip(both, ("hard", "soft"), strict=True):
+        assert y.samples.tobytes() == threshold_denoise_mode(x, SIGMA, mode).samples.tobytes()
 
 
 def test_vertical_reconstruct_amplitude_and_phase():
@@ -666,9 +819,9 @@ def test_threshold_modes_from_one_spectrogram_equal_each_mode_alone(monkeypatch)
     made = []
     real_stft = stft_module.stft
 
-    def counting_stft(*args):
+    def counting_stft(*args, **kwargs):
         made.append(args)
-        return real_stft(*args)
+        return real_stft(*args, **kwargs)
 
     monkeypatch.setattr(stft_module, "stft", counting_stft)
     both = threshold_denoise(x, SIGMA)

@@ -7,28 +7,15 @@ errors, so a refactor that moves or renames one of them, or removes a config
 field a record sets, breaks `perfbench/run.py`; these tests fail first.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 
 import tvshape
 from tvshape import FitDiagnostics, FitError, FitOptions, PipelineConfig, PipelineStageError
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_wrapped_name_resolves():
-    tracer = _load("tracer")
+def test_every_wrapped_name_resolves(perfbench):
+    # perfbench loads the benchmark's modules (conftest.py)
+    tracer = perfbench("tracer")
     missing = [
         f"{path}.{attr}" for path, attr, _, _ in tracer.WRAPS if not hasattr(tracer._resolve(path), attr)
     ]
@@ -40,8 +27,8 @@ def test_fit_options_keep_the_field_the_tracer_reads():
     assert hasattr(FitOptions(), "freeze_nodes")
 
 
-def test_every_workload_record_builds():
-    workloads = _load("workloads")
+def test_every_workload_record_builds(perfbench):
+    workloads = perfbench("workloads")
     records = [rec for build in workloads.WORKLOADS.values() for rec in build()]
     records.append(workloads.warmup_record())
     for rec in records:
@@ -59,8 +46,8 @@ def _assert_denoise_fields(res, n):
     assert res.timings and all(isinstance(s, float) for s in res.timings.values())
 
 
-def test_driver_outputs_keep_the_fields_the_benchmark_reads():
-    workloads = _load("workloads")
+def test_driver_outputs_keep_the_fields_the_benchmark_reads(perfbench):
+    workloads = perfbench("workloads")
     warm = workloads.warmup_record()
     res = tvshape.denoise(warm.signal, warm.cfg)
     workloads.check_output(warm, res)
