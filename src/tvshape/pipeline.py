@@ -45,6 +45,7 @@ from .solver import (
 )
 from .stft import (
     Ridge,
+    _coarse_ridge,
     default_band_halfwidth,
     estimate_fundamental,
     mean_frequency,
@@ -53,7 +54,6 @@ from .stft import (
 )
 
 MIN_NODES = 5            # node-budget floor per harmonic
-RIDGE_HEADROOM = 1.25    # stored band's edges over and under the edges' cycle rates; workload ridges run at 0.78-1.07 of them
 
 # Config keys of fields that held one value for every caller and are now
 # constants. Configs written before still carry them, so a key is read
@@ -247,18 +247,18 @@ def _denoise(x: RealSignal, cfg: PipelineConfig) -> DenoiseResult:
     ext = _staged(timings, "extend", extend_boundaries, x, c_fwd, c_bwd)
     xe = ext.extended
 
-    # the ridge walk and the fundamental's band sum read no higher than the
-    # faster edge's cycle rate times RIDGE_HEADROOM, plus the band half-width
-    # and a ridge jump, and no lower than the slower edge's rate over
-    # RIDGE_HEADROOM, less both; a read outside that grows the band toward
-    # it, to the width read or twice its width, and the harmonics' band
-    # sums come from the record
-    max_freq = RIDGE_HEADROOM * x.fs / min(c_fwd, c_bwd) + delta + cfg.max_jump_hz
-    min_freq = x.fs / max(c_fwd, c_bwd) / RIDGE_HEADROOM - delta - cfg.max_jump_hz
     # the finest steps read are a ridge jump and the band half-width: a
     # window longer than the record sizes no finer grid than those need
     resolution = min(cfg.max_jump_hz, delta)
-    spec = _staged(timings, "stft", stft, xe, cfg.sigma, max_freq, min_freq, resolution)
+    # the ridge walk reads a jump either side of the ridge and the
+    # fundamental's band sum delta either side; the ridge walked on every
+    # H-th frame (H the window's std) brackets both, with one more jump for
+    # the frames between its frames. A read outside grows the band toward
+    # it, to the width read or twice its width, and the harmonics' band sums
+    # come from the record
+    coarse = _staged(timings, "coarse_ridge", _coarse_ridge, xe, cfg.sigma, resolution, cfg.max_jump_hz)
+    reach = max(delta, cfg.max_jump_hz) + cfg.max_jump_hz
+    spec = _staged(timings, "stft", stft, xe, cfg.sigma, coarse.max() + reach, coarse.min() - reach, resolution)
     fund, ridge = _staged(timings, "fundamental", estimate_fundamental, spec, cfg.max_jump_hz, delta)
     x_dem = _staged(timings, "demodulate", demodulate, xe, fund)
     # estimation sub-stages look at the original support only: the

@@ -40,6 +40,13 @@ spans the stored band and the read, at least twice the stored width,
 grown toward the read and never past bin 0 or the last bin, and that
 band serves every later read within it.
 
+The pipeline chooses the band from a coarse ridge (`_coarse_ridge`): the
+same pass over every H-th frame only, H the window's standard deviation
+1/sqrt(2 sigma) in samples, over every bin, walked by `extract_ridge` from
+those frames' own anchor. Its span, widened by the reads' reach, brackets
+the per-sample ridge's reads, so a band regrows only where the per-sample
+ridge strays from the coarse one.
+
 The calling thread allocates every block buffer before the threads start, one set per worker, with BLOCK_ELEMENTS
 shared among them: a buffer a worker thread allocated itself would stay
 resident in that thread's malloc arena. Each call opens its own pool and
@@ -234,10 +241,11 @@ def _fold_runs(half: int, nfft: int) -> list[tuple[int, int, int]]:
 
 
 def _transform(samples: np.ndarray, g: np.ndarray, nfft: int, lo: int, hi: int,
-               anchor: bool = True) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Bins lo..hi-1 of every frame's windowed FFT, and with anchor the
-    (frame, bin) of the first |F| maximum over all bins in time-major order
-    (None if all are zero, or without anchor).
+               anchor: bool = True, hop: int = 1) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Bins lo..hi-1 of the windowed FFT of every hop-th frame (frames 0,
+    hop, 2 hop, ..., one row each), and with anchor the (row, bin) of the
+    first |F| maximum over all bins in time-major order (None if all are
+    zero, or without anchor).
 
     The rows split into one contiguous span per worker (`worker_count`),
     and each span is walked in blocks of at most BLOCK_ELEMENTS / workers
@@ -246,9 +254,10 @@ def _transform(samples: np.ndarray, g: np.ndarray, nfft: int, lo: int, hi: int,
     maxima are combined in row order with a strict >, so a tie anchors at
     the earliest frame whatever the block and span boundaries.
     """
-    n_rows, n_bins, half = samples.size, nfft // 2 + 1, g.size // 2
+    n_bins, half = nfft // 2 + 1, g.size // 2
     padded = np.concatenate([np.zeros(half), samples, np.zeros(half)])
-    frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)[::hop]
+    n_rows = frames.shape[0]
     runs = _fold_runs(half, nfft)
     values = _band_store(n_rows, hi - lo)
     workers = worker_count(n_rows)
@@ -305,23 +314,46 @@ def stft(x: RealSignal, sigma: float, max_freq: float | None = None,
     every bin either way, unless anchor is False (a caller that walks no
     ridge), which leaves it None.
     """
-    g, half = gaussian_window(sigma)
-    if 2 * half + 1 < 8:
-        raise ResolutionError(
-            f"sigma={sigma:g} leaves a window of {2 * half + 1} samples, under 8; lower sigma"
-        )
     if max_freq is not None and not max_freq >= 0:
         raise ValueError(f"max_freq must be non-negative, got {max_freq}")
     if min_freq is not None and not min_freq <= (np.inf if max_freq is None else max_freq):
         raise ValueError(f"min_freq must not exceed max_freq, got {min_freq} and {max_freq}")
-    if resolution is not None and not 0 < resolution < np.inf:
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    nfft = fft_length(len(x), 2 * half + 1, None if resolution is None else resolution / x.fs)
+    g, nfft = _grid(x, sigma, resolution)
     freq_axis = _frequency_grid(x.fs, nfft)
     first = 0 if min_freq is None else min(int(np.searchsorted(freq_axis, min_freq)), freq_axis.size - 1)
     stop = freq_axis.size if max_freq is None else int(np.searchsorted(freq_axis, max_freq, side="right"))
     values, found = _transform(x.samples, g, nfft, first, max(first + 1, stop), anchor)
     return Spectrogram(values, x.fs, nfft, g, found, x.samples, first)
+
+
+def _grid(x: RealSignal, sigma: float, resolution: float | None) -> tuple[np.ndarray, int]:
+    """The window and FFT length of `stft(x, sigma, resolution=resolution)`,
+    raising its errors on sigma and resolution."""
+    g, half = gaussian_window(sigma)
+    if 2 * half + 1 < 8:
+        raise ResolutionError(
+            f"sigma={sigma:g} leaves a window of {2 * half + 1} samples, under 8; lower sigma"
+        )
+    if resolution is not None and not 0 < resolution < np.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    return g, fft_length(len(x), 2 * half + 1, None if resolution is None else resolution / x.fs)
+
+
+def _coarse_ridge(x: RealSignal, sigma: float, resolution: float | None, max_jump_hz: float) -> np.ndarray:
+    """Hz of `extract_ridge` over every H-th frame of `stft(x, sigma,
+    resolution=resolution)`, frames 0, H, 2H, ..., H the window's standard
+    deviation 1/sqrt(2 sigma) in samples (at least 1).
+
+    The frames go through `_transform`'s pass over every bin, which finds
+    their anchor, and the walk steps at most I_f per coarse frame: I_f is
+    not scaled by H, since a jump H times wider reaches the second harmonic.
+    The pipeline stores the per-sample spectrogram's band around this ridge.
+    """
+    g, nfft = _grid(x, sigma, resolution)
+    hop = max(1, int(1.0 / np.sqrt(2.0 * sigma)))
+    values, found = _transform(x.samples, g, nfft, 0, nfft // 2 + 1, hop=hop)
+    # a spectrogram of the coarse frames, every bin stored, so the walk grows no band
+    return extract_ridge(Spectrogram(values, x.fs, nfft, g, found, x.samples), max_jump_hz).freq
 
 
 def extract_ridge(spec: Spectrogram, max_jump_hz: float) -> Ridge:

@@ -1,4 +1,3 @@
-import importlib
 import json
 
 import numpy as np
@@ -20,10 +19,7 @@ from tvshape import (
 )
 from tvshape.cli import EXIT_NO_RESULT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from tvshape.pipeline import RETIRED_KEYS
-from tvshape.stft import Spectrogram, fft_length, gaussian_window
-
-pipeline_module = importlib.import_module("tvshape.pipeline")
-stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
+from tvshape.stft import fft_length, gaussian_window
 
 
 @pytest.fixture(scope="module")
@@ -136,51 +132,27 @@ def test_decompose_of_the_ip_record_finds_both_rhythms():
         assert abs(mean - target) <= bin_width
 
 
-def test_decompose_of_the_ip_record_grows_no_band_past_its_reads(monkeypatch):
+def test_decompose_of_the_ip_record_grows_no_band_past_its_reads(band_log):
     # the ip window (8583 taps) outruns the 2304-sample extended record, so
     # each stage transforms on a grid sized by the record and the steps it
-    # reads, 4096 points. On it stage 2's residual shows its own ~1.42 Hz
-    # rhythm at both edges, so the band sized from its edge cycles holds
-    # every read of the ridge walk and the fundamental: one FFT pass per
-    # stage, and no band grows
+    # reads, 4096 points. Each stage stores the band around its own coarse
+    # ridge, so the band holds every read of the ridge walk and the
+    # fundamental: one coarse pass and one pass over every frame per stage,
+    # and no band grows. Stage 2's residual shows its own ~1.42 Hz rhythm at
+    # both edges, and its forecast takes that season
     x, cfg = _ip_record(), preset("ip", r_max=3)
-    made, cycles, reads, transforms = [], [], [], []
-    real_stft, real_cycle, real_bins = pipeline_module.stft, pipeline_module.fractional_cycle_len, Spectrogram.bins
-    real_transform = stft_module._transform
-
-    def recording_stft(*args, **kwargs):
-        spec = real_stft(*args, **kwargs)
-        made.append((spec, spec.first, spec.values.shape[1]))
-        return spec
-
-    def recording_cycle(*args):
-        cycles.append(real_cycle(*args))
-        return cycles[-1]
-
-    def recording_bins(self, start, stop):
-        reads.append((id(self), start, stop))
-        return real_bins(self, start, stop)
-
-    def recording_transform(*args, **kwargs):
-        transforms.append(args[3:5])
-        return real_transform(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline_module, "stft", recording_stft)
-    monkeypatch.setattr(pipeline_module, "fractional_cycle_len", recording_cycle)
-    monkeypatch.setattr(Spectrogram, "bins", recording_bins)
-    monkeypatch.setattr(stft_module, "_transform", recording_transform)
     decompose(x, [cfg], K=2)
-    assert len(made) == len(transforms) == 2
+    assert band_log.hops == [int(1.0 / np.sqrt(2.0 * cfg.sigma)), 1] * 2
     _, half = gaussian_window(cfg.sigma)
-    n_ext = made[0][0].n_times
+    n_ext = band_log.made[0][0].n_times
     resolution = min(cfg.max_jump_hz, cfg.delta) / x.fs
     assert n_ext < 2 * half + 1
     assert fft_length(n_ext, 2 * half + 1, resolution) == 4096 < fft_length(n_ext, 2 * half + 1)
-    assert all(rate == pytest.approx(1.42, abs=0.02) for rate in x.fs / np.asarray(cycles[2:]))
-    for spec, first, stored in made:
+    assert all(rate == pytest.approx(1.42, abs=0.02) for rate in x.fs / np.asarray(band_log.cycles[2:]))
+    for spec, first, stored in band_log.made:
         assert spec.nfft == 4096
         assert (spec.first, spec.values.shape[1]) == (first, stored)
-        own = [(start, stop) for key, start, stop in reads if key == id(spec)]
+        own = [(start, stop) for key, start, stop, _, _ in band_log.reads if key == id(spec)]
         assert own and all(first <= start and stop <= first + stored for start, stop in own)
 
 

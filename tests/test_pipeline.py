@@ -20,11 +20,9 @@ from tvshape import (
     segment,
     snr_out,
 )
-from tvshape.pipeline import RETIRED_KEYS, RIDGE_HEADROOM
-from tvshape.stft import Spectrogram
+from tvshape.pipeline import RETIRED_KEYS
 
 pipeline_module = importlib.import_module("tvshape.pipeline")
-stft_module = importlib.import_module("tvshape.stft")   # the package exports a function `stft`
 
 
 @pytest.fixture(scope="module")
@@ -408,57 +406,59 @@ def test_reconstructions_sit_on_the_record_axis(cfg, noiseless_result, t0):
     assert res.reconstruction.t0 == res.lr_reconstruction.t0 == x.t0
 
 
-def test_workload_record_stores_a_low_band_of_its_spectrogram(monkeypatch, workload_record):
+def _coarse_hop(cfg: PipelineConfig) -> int:
+    """The coarse ridge's hop, the window's standard deviation in samples."""
+    return int(1.0 / np.sqrt(2.0 * cfg.sigma))
+
+
+def test_workload_record_stores_a_low_band_of_its_spectrogram(band_log, workload_record):
     # workload_record runs over the benchmark's records (conftest.py)
     rec = workload_record
-    made, cycles, reads, transforms = [], [], [], []
-    real_stft, real_cycle, real_bins = pipeline_module.stft, pipeline_module.fractional_cycle_len, Spectrogram.bins
-    real_transform = stft_module._transform
-
-    def recording_stft(*args, **kwargs):
-        spec = real_stft(*args, **kwargs)
-        made.append((spec, spec.first, spec.values.shape[1]))
-        return spec
-
-    def recording_cycle(*args):
-        cycles.append(real_cycle(*args))
-        return cycles[-1]
-
-    def recording_bins(self, start, stop):
-        reads.append((start, stop, self.first, self.first + self.values.shape[1]))
-        return real_bins(self, start, stop)
-
-    def recording_transform(*args, **kwargs):
-        transforms.append(args[3:])
-        return real_transform(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline_module, "stft", recording_stft)
-    monkeypatch.setattr(pipeline_module, "fractional_cycle_len", recording_cycle)
-    monkeypatch.setattr(Spectrogram, "bins", recording_bins)
-    monkeypatch.setattr(stft_module, "_transform", recording_transform)
     if rec.driver == "decompose":
         decompose(rec.signal, [rec.cfg], K=rec.K)
     elif rec.driver == "segment":
         segment(rec.signal, rec.cfg)
     else:
         denoise(rec.signal, rec.cfg)
-    # one FFT pass per spectrogram: a read that regrew the band would cost
-    # a second pass over the record, into a band at least twice as wide
-    assert len(transforms) == len(made)
-    assert len(made) == rec.K and len(cycles) == 2 * rec.K      # one spectrogram per stage
+    # per stage one coarse pass, then one pass over every frame: a read that
+    # regrew the band would cost a second such pass, into a band at least
+    # twice as wide
+    assert band_log.hops == [_coarse_hop(rec.cfg), 1] * rec.K
+    assert len(band_log.made) == len(band_log.coarse) == rec.K      # one spectrogram per stage
     delta = rec.cfg.resolved_delta(rec.signal.fs)
-    for (spec, first, stored), edge_cycles in zip(made, np.reshape(cycles, (rec.K, 2)), strict=True):
-        # from the longer edge cycle's rate under the headroom, less the band
-        # half-width and a ridge jump, to the shorter one's with the headroom,
-        # plus both
-        bottom = spec.fs / edge_cycles.max() / RIDGE_HEADROOM - delta - rec.cfg.max_jump_hz
-        top = RIDGE_HEADROOM * spec.fs / edge_cycles.min() + delta + rec.cfg.max_jump_hz
-        assert first == np.count_nonzero(spec.freq_axis < bottom)
-        assert first + stored == np.count_nonzero(spec.freq_axis <= top) < 0.25 * spec.freq_axis.size
+    reach = max(delta, rec.cfg.max_jump_hz) + rec.cfg.max_jump_hz
+    for (spec, first, stored), coarse in zip(band_log.made, band_log.coarse, strict=True):
+        # from the coarse ridge's lowest rate less the reach to its highest
+        # plus the reach, and no wider
+        assert first == np.count_nonzero(spec.freq_axis < coarse.min() - reach)
+        assert first + stored == np.count_nonzero(spec.freq_axis <= coarse.max() + reach)
+        assert (stored - 1) * spec.bin_width <= np.ptp(coarse) + 2 * reach
+        assert stored < 0.25 * spec.freq_axis.size
         # the harmonics' band sums came from the record: nothing was recomputed
         assert (spec.first, spec.values.shape[1]) == (first, stored)
     # every read of the ridge walk and the fundamental fell in the stored band
-    assert reads and all(first <= start and stop <= end for start, stop, first, end in reads)
+    reads = band_log.reads
+    assert reads and all(first <= start and stop <= end for _, start, stop, first, end in reads)
+
+
+def test_a_ridge_far_from_its_edge_rates_is_read_from_one_pass(band_log):
+    # f = 30 + 20 sin^2(pi t) Hz runs at 30 Hz at both edges of the 1 s
+    # record and at 50 Hz mid-record. A band bracketed by the edges' cycle
+    # rates (1.25 headroom) would hold bins 13-120 of 2049 and regrow to
+    # 13-227, with a second pass over every frame, when the walk climbs past
+    # it; the band around the coarse ridge holds every read of the one pass
+    fs = 2000.0
+    t = np.arange(int(fs)) / fs
+    phase = 40.0 * t - 5.0 / np.pi * np.sin(2 * np.pi * t)      # cycles, the integral of f
+    clean = np.cos(2 * np.pi * phase) + 0.5 * np.cos(4 * np.pi * phase)
+    cfg = preset("synthetic")
+    res = denoise(add_noise(RealSignal(clean, fs), 10.0, 0), cfg)
+    core = res.ridge.freq[res.extension.core]
+    assert core.max() > 45.0 and max(core[0], core[-1]) < 35.0
+    assert band_log.hops == [_coarse_hop(cfg), 1]
+    (spec, first, stored), = band_log.made
+    assert (spec.first, spec.values.shape[1]) == (first, stored)
+    assert all(first <= start and stop <= end for _, start, stop, first, end in band_log.reads)
 
 
 def test_pipeline_deterministic(cfg):

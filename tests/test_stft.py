@@ -661,6 +661,51 @@ def test_a_spectrogram_without_its_anchor_holds_the_same_bytes(monkeypatch):
         assert y.samples.tobytes() == threshold_denoise_mode(x, SIGMA, mode).samples.tobytes()
 
 
+def test_a_coarse_pass_holds_every_hop_th_row_of_the_full_pass():
+    # the coarse pass runs the same fold and FFT on frames 0, hop, 2 hop, ...:
+    # its rows are those rows of the full pass bit for bit, on one worker
+    # with one block and on two with one row per block, and its anchor is
+    # their first |F| maximum
+    sigma = 1e-2        # an 85-sample window on a 600-sample record: nfft 512
+    g, _ = gaussian_window(sigma)
+    x = np.random.default_rng(3).standard_normal(600)
+    nfft = fft_length(x.size, g.size)
+    full, _ = stft_module._transform(x, g, nfft, 0, nfft // 2 + 1)
+    for hop in (1, 7, 70, 599, 600):
+        for workers, block in ((1, stft_module.BLOCK_ELEMENTS), (2, 3 * nfft)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(stft_module, "worker_count", lambda n: min(workers, n))
+                mp.setattr(stft_module, "BLOCK_ELEMENTS", block)
+                coarse, anchor = stft_module._transform(x, g, nfft, 0, nfft // 2 + 1, hop=hop)
+            rows = full[::hop]
+            assert coarse.tobytes() == rows.tobytes()
+            assert anchor == np.unravel_index(np.argmax(np.abs(rows)), rows.shape)
+
+
+@pytest.mark.parametrize("name, fs, hop", [("synthetic", 2000.0, 70), ("ecg", 250.0, 100),
+                                           ("eeg", 256.0, 500), ("ip", 32.0, 707)])
+def test_the_coarse_ridge_steps_by_the_window_std(monkeypatch, name, fs, hop):
+    # H = floor(1 / sqrt(2 sigma)) per preset; on a tone the walk over the
+    # coarse frames holds the tone's bin, on the grid `stft` makes for the
+    # resolution the pipeline states
+    cfg = preset(name)
+    n, f0 = 5 * hop + 1, 0.1 * fs
+    x = RealSignal(np.cos(2 * np.pi * f0 * np.arange(n) / fs), fs)
+    resolution = min(cfg.max_jump_hz, cfg.resolved_delta(fs))
+    hops, real_transform = [], stft_module._transform
+
+    def recording_transform(*args, hop=1, **kwargs):
+        hops.append(hop)
+        return real_transform(*args, hop=hop, **kwargs)
+
+    monkeypatch.setattr(stft_module, "_transform", recording_transform)
+    ridge = stft_module._coarse_ridge(x, cfg.sigma, resolution, cfg.max_jump_hz)
+    assert hops == [hop] and ridge.size == 6
+    _, half = gaussian_window(cfg.sigma)
+    bin_width = fs / fft_length(n, 2 * half + 1, resolution / fs)
+    assert np.all(np.abs(ridge - f0) <= bin_width)
+
+
 def test_vertical_reconstruct_amplitude_and_phase():
     a, phase = 0.7, 1.234
     x = _tone(40.0, a, phase)
